@@ -8,8 +8,9 @@ type t = {
   tau : int;
   mode : Two_layer_index.mode;
   delta : int;
-  mutable trees : Tree.t array;     (* growable; slot i = tree id i *)
-  mutable preps : Ted.prep option array;
+  mutable forms : Verifier.form array;
+      (* growable; slot i = tree id i: the stored tree's TED prep and
+         compiled bounds, both built once at insert *)
   mutable count : int;
   entries : (int, size_entry) Hashtbl.t;
   exact : (int, int list) Hashtbl.t;
@@ -21,8 +22,10 @@ type t = {
          only mutator, and like every index mutation single-writer)
          interns there; the stored tree becomes the shared structural
          view, so repeated subtrees across the stream cost one node and
-         the consed preps unlock the kernels' equal-subtree fast path
-         and the cross-pair memo cache. *)
+         the consed preps unlock the verifier's equal-root check, the
+         kernels' equal-subtree fast path and the cross-pair memo
+         cache. *)
+  tally : Verifier.Tally.t;  (* how every verified candidate was decided *)
   mutable n_candidates : int;
   mutable n_indexed : int;
 }
@@ -33,12 +36,12 @@ let create ?(mode = Two_layer_index.Two_sided) ?(consing = true) ~tau () =
     tau;
     mode;
     delta = (2 * tau) + 1;
-    trees = Array.make 16 (Tree.leaf Tsj_tree.Label.epsilon);
-    preps = Array.make 16 None;
+    forms = [||];
     count = 0;
     entries = Hashtbl.create 64;
     exact = Hashtbl.create 64;
     dag = (if consing then Some (Tsj_tree.Dag.create ()) else None);
+    tally = Verifier.Tally.create ();
     n_candidates = 0;
     n_indexed = 0;
   }
@@ -54,32 +57,19 @@ let n_trees t = t.count
 
 let tree t id =
   if id < 0 || id >= t.count then invalid_arg "Incremental.tree: unknown id";
-  t.trees.(id)
+  Verifier.tree t.forms.(id)
 
 let stats t = (t.n_candidates, t.n_indexed)
 
-let grow t =
-  let cap = Array.length t.trees in
-  if t.count = cap then begin
-    let trees = Array.make (2 * cap) t.trees.(0) in
-    Array.blit t.trees 0 trees 0 cap;
-    t.trees <- trees;
-    let preps = Array.make (2 * cap) None in
-    Array.blit t.preps 0 preps 0 cap;
-    t.preps <- preps
-  end
+let cascade t = Verifier.Tally.cascade t.tally
 
-(* Lazy fallback for trees whose consing failed (or consing off).  It
-   must stay UNconsed: [prep] is called from inside [query]'s parallel
-   verification chunks, and interning from a worker would race on the
-   store — consed preps are built eagerly in [add] instead. *)
-let prep t id =
-  match t.preps.(id) with
-  | Some p -> p
-  | None ->
-    let p = Ted.preprocess t.trees.(id) in
-    t.preps.(id) <- Some p;
-    p
+let grow t form =
+  let cap = Array.length t.forms in
+  if t.count = cap then begin
+    let forms = Array.make (max 16 (2 * cap)) form in
+    Array.blit t.forms 0 forms 0 cap;
+    t.forms <- forms
+  end
 
 let entry_for t size =
   match Hashtbl.find_opt t.entries size with
@@ -128,31 +118,39 @@ let band_candidates t ~tau btree =
 
 let find_equal t q =
   Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]
-  |> List.filter (fun id -> Tree.equal t.trees.(id) q)
+  |> List.filter (fun id -> Tree.equal (tree t id) q)
   |> function
   | [] -> None
   | ids -> Some (List.fold_left min max_int ids)
 
+(* Decide one candidate through the shared verifier and count how. *)
+let verify t ~tau qform id =
+  match Verifier.verify ~tau qform t.forms.(id) with
+  | Verifier.Decided (d, stage) ->
+    Verifier.Tally.add t.tally stage;
+    d
+  | Verifier.Refused -> assert false (* no [admit] gate here *)
+
 let add t tree =
-  grow t;
   let id = t.count in
-  let tree =
+  let prep =
     (* Intern first so the stored slot is the shared structural view:
        a duplicate of an earlier tree is then physically equal to it,
-       and the eager consed prep carries DAG ids for the kernels.
-       Consing is an optimisation — if it raises on a pathological
-       shape, fall back to storing the tree as given (lazy unconsed
-       prep). *)
+       and the consed prep carries DAG ids for the verifier and the
+       kernels.  Consing is an optimisation — if it raises on a
+       pathological shape, fall back to an unconsed prep of the tree as
+       given. *)
     match t.dag with
-    | None -> tree
+    | None -> Ted.preprocess tree
     | Some dag -> (
       match Ted.cons dag tree with
-      | c ->
-        t.preps.(id) <- Some (Ted.preprocess_consed c);
-        Ted.consed_tree c
-      | exception _ -> tree)
+      | c -> Ted.preprocess_consed c
+      | exception _ -> Ted.preprocess tree)
   in
-  t.trees.(id) <- tree;
+  let form = Verifier.of_prep prep in
+  let tree = Verifier.tree form in
+  grow t form;
+  t.forms.(id) <- form;
   t.count <- t.count + 1;
   (let key = tree_key tree in
    let ids = Option.value (Hashtbl.find_opt t.exact key) ~default:[] in
@@ -163,12 +161,11 @@ let add t tree =
      size band, in either direction. *)
   let pending = band_candidates t ~tau:t.tau btree in
   (* 2. Verify. *)
-  let my_prep = prep t id in
   let results =
     List.filter_map
       (fun tj ->
         t.n_candidates <- t.n_candidates + 1;
-        let d = Ted.bounded_distance_prep my_prep (prep t tj) t.tau in
+        let d = verify t ~tau:t.tau form tj in
         if d <= t.tau then Some (tj, d) else None)
       pending
     |> List.sort compare
@@ -215,7 +212,7 @@ let query ?budget ?(domains = 1) ?tau t q =
        path. *)
     let hits =
       Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]
-      |> List.filter (fun id -> Tree.equal t.trees.(id) q)
+      |> List.filter (fun id -> Tree.equal (tree t id) q)
       |> List.sort compare
       |> List.map (fun id -> (id, 0))
     in
@@ -224,7 +221,7 @@ let query ?budget ?(domains = 1) ?tau t q =
   else begin
   let qb = Binary_tree.of_tree q in
   let cands = Array.of_list (List.sort compare (band_candidates t ~tau qb)) in
-  let qprep = Ted.preprocess q in
+  let qform = Verifier.of_tree q in
   let n = Array.length cands in
   let hits = ref [] in
   let unverified = ref [] in
@@ -234,14 +231,20 @@ let query ?budget ?(domains = 1) ?tau t q =
   in
   let chunk_from lo =
     let hi = min n (lo + verify_chunk_size) in
-    let ds =
+    (* Workers only decide; the stages are tallied here, on the caller. *)
+    let verdicts =
       Tsj_join.Parallel.map ~domains
-        (fun tj -> Ted.bounded_distance_prep qprep (prep t tj) tau)
+        (fun tj -> Verifier.verify ~tau qform t.forms.(tj))
         (Array.sub cands lo (hi - lo))
     in
     Array.iteri
-      (fun k d -> if d <= tau then hits := (cands.(lo + k), d) :: !hits)
-      ds;
+      (fun k v ->
+        match v with
+        | Verifier.Decided (d, stage) ->
+          Verifier.Tally.add t.tally stage;
+          if d <= tau then hits := (cands.(lo + k), d) :: !hits
+        | Verifier.Refused -> assert false (* no [admit] gate here *))
+      verdicts;
     hi
   in
   let rec go lo =
@@ -249,18 +252,15 @@ let query ?budget ?(domains = 1) ?tau t q =
       if live () then go (chunk_from lo)
       else begin
         (* Over budget: the remaining candidates are reported with their
-           bound sandwich instead of hanging on the exact kernel.  A
-           candidate whose cheap lower bound already exceeds τ is
-           discarded — it is provably not a result. *)
+           bound sandwich (from the compiled forms, no kernel) instead of
+           hanging on the exact kernel.  A candidate whose lower bound
+           already exceeds τ is discarded — it is provably not a
+           result. *)
         degraded := true;
         for k = lo to n - 1 do
           let tj = cands.(k) in
-          let other = t.trees.(tj) in
-          let lower = Tsj_ted.Bounds.best q other in
-          if lower <= tau then begin
-            let upper = Tsj_ted.Bounds.upper q other in
-            unverified := (tj, lower, upper) :: !unverified
-          end
+          let lower, upper = Verifier.sandwich qform t.forms.(tj) in
+          if lower <= tau then unverified := (tj, lower, upper) :: !unverified
         done
       end
   in
@@ -279,14 +279,14 @@ let nearest ~k t q =
   if k < 0 then invalid_arg "Incremental.nearest: negative k";
   if k = 0 then []
   else begin
-    let qprep = Ted.preprocess q in
+    let qform = Verifier.of_tree q in
     let qb = Binary_tree.of_tree q in
     let dist_cache : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let dist tj =
       match Hashtbl.find_opt dist_cache tj with
       | Some d -> d
       | None ->
-        let d = Ted.bounded_distance_prep qprep (prep t tj) t.tau in
+        let d = verify t ~tau:t.tau qform tj in
         Hashtbl.add dist_cache tj d;
         d
     in

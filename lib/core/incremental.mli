@@ -8,7 +8,10 @@
     per-size indexes over the whole [size ± τ] band (Lemma 2 partitions
     the {e indexed} tree, so the direction of the size difference is
     irrelevant), reports its join partners among everything seen so far,
-    and is then partitioned and indexed itself.
+    and is then partitioned and indexed itself.  Every candidate is
+    decided by the shared {!Verifier} (equal consed roots, the compiled
+    bound cascade, then the banded kernel); each stored tree's verifier
+    form is built once at insert, each query tree's once per request.
 
     Feeding a whole collection through {!add} yields exactly the self-join
     result of {!Partsj.join}. *)
@@ -44,7 +47,15 @@ val find_equal : t -> Tsj_tree.Tree.t -> int option
     whole-tree dedup primitive of the serving store. *)
 
 val stats : t -> int * int
-(** [(candidates verified, subgraphs indexed)] so far. *)
+(** [(candidates verified by {!add}, subgraphs indexed)] so far. *)
+
+val cascade : t -> Tsj_join.Types.cascade
+(** How every candidate verified so far — by {!add}, {!query} and
+    {!nearest} alike — was decided by {!Verifier.verify}: pruned per
+    cascade stage, early-accepted, or run through the kernel.  τ = 0
+    point queries (answered by the exact-match hash) and the candidates
+    a degraded {!query} left unverified are not counted; the memo
+    counters are 0.  Safe to read while queries run. *)
 
 type query_result = {
   hits : (int * int) list;

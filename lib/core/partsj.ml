@@ -1,7 +1,6 @@
 module Tree = Tsj_tree.Tree
 module Binary_tree = Tsj_tree.Binary_tree
 module Ted = Tsj_ted.Ted
-module Bounds = Tsj_ted.Bounds
 module Timer = Tsj_util.Timer
 module Fault = Tsj_util.Fault_inject
 module Types = Tsj_join.Types
@@ -31,14 +30,12 @@ type size_entry = { index : Two_layer_index.t; mutable small : int list }
 (* Everything derived from one input tree, built eagerly by the parallel
    preprocessing phase: the TED preparation (both decompositions), the
    LC-RS form probed by the index, its precomputed twig cursor, and the
-   compiled bound forms (sorted label/degree multisets, traversal label
-   arrays, greedy-mapping arrays) that the verification filter cascade
-   evaluates pairwise with zero per-pair allocation. *)
+   verifier form (TED prep plus the compiled bounds that the filter
+   cascade evaluates pairwise with zero per-pair allocation). *)
 type tree_data = {
-  d_prep : Ted.prep;
+  d_form : Verifier.form;
   d_btree : Binary_tree.t;
   d_cursor : Two_layer_index.cursor;
-  d_bounds : Bounds.Compiled.t;
 }
 
 (* The immutable snapshot of one size entry taken between blocks: a
@@ -65,29 +62,9 @@ let empty_probe_result =
    are bit-identical whatever the parallelism. *)
 let block_size = 32
 
-(* Verifier decision codes, indexing the per-stage counter array: how
-   each candidate pair was decided.  The order mirrors the cascade;
-   [stage_quarantined] marks pairs the resilience layer diverted instead
-   of deciding (per-pair budget, verifier exception, deadline). *)
-let stage_size = 0
-
-let stage_labels = 1
-
-let stage_degrees = 2
-
-let stage_sed = 3
-
-let stage_early = 4
-
-let stage_kernel = 5
-
-let stage_quarantined = 6
-
-let n_stages = 7
-
-(* Outcome of verifying one candidate pair: either a decision (distance
-   + stage code) or a quarantine reason. *)
-type verdict = { v_dist : int; v_stage : int; v_reason : Types.quarantine_reason option }
+(* Outcome of verifying one candidate pair: the verifier's verdict, or
+   a quarantine reason. *)
+type verdict = { v_dist : int; v_stage : Verifier.stage; v_reason : Types.quarantine_reason option }
 
 let join_with_probe_stats ?(partitioning = Balanced)
     ?(index_mode = Two_layer_index.Two_sided) ?(domains = 1)
@@ -140,10 +117,9 @@ let join_with_probe_stats ?(partitioning = Balanced)
     let leaf = Tree.leaf (Tsj_tree.Label.intern "?") in
     let btree = Binary_tree.of_tree leaf in
     {
-      d_prep = Ted.preprocess leaf;
+      d_form = Verifier.of_tree leaf;
       d_btree = btree;
       d_cursor = Two_layer_index.cursor btree;
-      d_bounds = Bounds.Compiled.of_tree leaf;
     }
   in
   (* Hash-consing pass: sequential (interning mutates the store, and like
@@ -178,10 +154,9 @@ let join_with_probe_stats ?(partitioning = Balanced)
                 | None -> Ted.preprocess tree
               in
               {
-                d_prep = prep;
+                d_form = Verifier.of_prep prep;
                 d_btree = btree;
                 d_cursor = Two_layer_index.cursor btree;
-                d_bounds = Bounds.Compiled.of_tree tree;
               }
             with
             | d -> d
@@ -222,92 +197,45 @@ let join_with_probe_stats ?(partitioning = Balanced)
   let n_matched = ref 0 in
   let n_small_hits = ref 0 in
   let n_indexed = ref 0 in
-  (* The staged verifier.  Returns a {!verdict}: the (threshold-clamped)
-     distance and the stage code that decided the pair, or a quarantine
-     reason when the resilience layer diverted it:
-     - with the cascade on, the compiled lower bounds run cheapest first
-       with short-circuit, the greedy upper bound early-accepts a pair
-       whose bound sandwich closes, and surviving pairs run the kernel
-       with the band shrunk to the upper bound when that is below τ — all
-       lossless, so results (pairs and distances) are bit-identical to
-       the uncascaded verifier;
-     - with the cascade off, this is the seed verifier: the banded
-       preorder-SED prefilter followed by the τ-banded kernel;
-     - [bounded_verify:false] forces the full kernel on every candidate
-       (ablation);
-     - a pair that reaches the exact kernel with a cost estimate over the
-       per-pair budget is quarantined with its bound sandwich (still a
-       pure function of the pair, so budgeted joins stay deterministic at
-       every domain count); a verifier exception quarantines the pair
-       instead of killing the join. *)
-  let verify_pair =
-    let d = data in
-    fun (i, j) ->
-      let decide dist stage = { v_dist = dist; v_stage = stage; v_reason = None } in
-      let kernel_allowed () =
-        match budget with
-        | None -> true
-        | Some b ->
-          Budget.pair_within b ~cost:(Budget.pair_cost sizes.(i) sizes.(j))
-      in
-      let over_budget () =
-        let lower = Bounds.Compiled.best d.(i).d_bounds d.(j).d_bounds in
-        let upper = Bounds.Compiled.upper d.(i).d_bounds d.(j).d_bounds in
-        {
-          v_dist = tau + 1;
-          v_stage = stage_quarantined;
-          v_reason = Some (Types.Pair_budget { lower; upper });
-        }
-      in
-      try
-        Fault.hit "partsj.verify" i;
-        if not bounded_verify then
-          if kernel_allowed () then
-            decide (Tsj_join.Sweep.verify_distance ?metric d.(i).d_prep d.(j).d_prep)
-              stage_kernel
-          else over_budget ()
-        else if not cascade then
-          if
-            not
-              (Tsj_ted.String_edit.within
-                 (Bounds.Compiled.preorder d.(i).d_bounds)
-                 (Bounds.Compiled.preorder d.(j).d_bounds)
-                 tau)
-          then decide (tau + 1) stage_sed
-          else if kernel_allowed () then
-            decide
-              (Tsj_join.Sweep.verify_bounded ?metric ~tau d.(i).d_prep d.(j).d_prep)
-              stage_kernel
-          else over_budget ()
-        else
-          match Bounds.Compiled.cascade ~tau d.(i).d_bounds d.(j).d_bounds with
-          | Bounds.Compiled.Pruned stage ->
-            let code =
-              match stage with
-              | Bounds.Compiled.Size -> stage_size
-              | Bounds.Compiled.Labels -> stage_labels
-              | Bounds.Compiled.Degrees -> stage_degrees
-              | Bounds.Compiled.Sed -> stage_sed
-            in
-            decide (tau + 1) code
-          | Bounds.Compiled.Accept dist -> decide dist stage_early
-          | Bounds.Compiled.Verify { band } ->
-            if kernel_allowed () then
-              decide
-                (Tsj_join.Sweep.verify_bounded ?metric ~tau:band d.(i).d_prep
-                   d.(j).d_prep)
-                stage_kernel
-            else over_budget ()
-      with exn ->
-        {
-          v_dist = tau + 1;
-          v_stage = stage_quarantined;
-          v_reason = Some (Types.Verify_failed (Printexc.to_string exn));
-        }
+  (* The staged verifier ({!Verifier.verify}): with the cascade on, equal
+     consed roots, then the compiled bounds cheapest first, the greedy
+     upper bound's early accept or band shrink, then the banded kernel —
+     all lossless, so results (pairs and distances) are bit-identical to
+     the uncascaded verifier.  [cascade:false] restores the seed verifier
+     (banded preorder-SED prefilter + τ-banded kernel) and
+     [bounded_verify:false] forces the full kernel on every candidate
+     (ablations).  A pair that would reach the kernel with a cost
+     estimate over the per-pair budget is quarantined with its bound
+     sandwich (still a pure function of the pair, so budgeted joins stay
+     deterministic at every domain count); a verifier exception
+     quarantines the pair instead of killing the join. *)
+  let mode =
+    if not bounded_verify then Verifier.Unbounded
+    else if cascade then Verifier.Cascade
+    else Verifier.Seed
+  in
+  let verify_pair (i, j) =
+    let quarantine reason =
+      { v_dist = tau + 1; v_stage = Verifier.Quarantined; v_reason = Some reason }
+    in
+    let admit () =
+      match budget with
+      | None -> true
+      | Some b -> Budget.pair_within b ~cost:(Budget.pair_cost sizes.(i) sizes.(j))
+    in
+    let a = data.(i).d_form and b = data.(j).d_form in
+    try
+      Fault.hit "partsj.verify" i;
+      match Verifier.verify ?metric ~mode ~admit ~tau a b with
+      | Verifier.Decided (dist, stage) -> { v_dist = dist; v_stage = stage; v_reason = None }
+      | Verifier.Refused ->
+        let lower, upper = Verifier.sandwich a b in
+        quarantine (Types.Pair_budget { lower; upper })
+    with exn -> quarantine (Types.Verify_failed (Printexc.to_string exn))
   in
   (* Per-stage decision counters; pure sums of per-pair outcomes, so they
      are deterministic at every domain count. *)
-  let stage_counts = Array.make n_stages 0 in
+  let tally = Verifier.Tally.create () in
   let results = ref [] in
   let quarantine_sweep = ref [] in
   let candidates = ref 0 in
@@ -338,7 +266,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
             let a = min i j and b = max i j in
             match verdicts.(idx) with
             | Some v -> (
-              stage_counts.(v.v_stage) <- stage_counts.(v.v_stage) + 1;
+              Verifier.Tally.add tally v.v_stage;
               match v.v_reason with
               | Some reason ->
                 quarantine_sweep :=
@@ -351,7 +279,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
               (* The task never ran: the stop flag drained the pool
                  before it was claimed.  The pair is unprocessed work,
                  not a non-result — quarantine it. *)
-              stage_counts.(stage_quarantined) <- stage_counts.(stage_quarantined) + 1;
+              Verifier.Tally.add tally Verifier.Quarantined;
               quarantine_sweep :=
                 { Types.q_i = a; q_j = Some b; q_reason = Types.Deadline }
                 :: !quarantine_sweep)
@@ -448,7 +376,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
                "Partsj.join: checkpoint %s was written by a different dataset or \
                 join configuration"
                cfg.Checkpoint.path)
-        else if Array.length st.Checkpoint.stage_counts <> n_stages then
+        else if Array.length st.Checkpoint.stage_counts <> Verifier.Tally.slots then
           invalid_arg
             (Printf.sprintf "Partsj.join: checkpoint %s has an incompatible format"
                cfg.Checkpoint.path)
@@ -466,7 +394,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
       results := List.rev st.Checkpoint.pairs;
       quarantine_sweep := List.rev st.Checkpoint.quarantined;
       candidates := st.Checkpoint.n_candidates;
-      Array.blit st.Checkpoint.stage_counts 0 stage_counts 0 n_stages;
+      Verifier.Tally.restore tally st.Checkpoint.stage_counts;
       n_probed := st.Checkpoint.n_probed;
       n_matched := st.Checkpoint.n_matched;
       n_small_hits := st.Checkpoint.n_small_hits;
@@ -484,7 +412,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
           pairs = List.rev !results;
           quarantined = List.rev !quarantine_sweep;
           n_candidates = !candidates;
-          stage_counts = Array.copy stage_counts;
+          stage_counts = Verifier.Tally.to_array tally;
           n_probed = !n_probed;
           n_matched = !n_matched;
           n_small_hits = !n_small_hits;
@@ -714,17 +642,9 @@ let join_with_probe_stats ?(partitioning = Balanced)
           candidate_time_s = cand_time_s;
           verify_time_s;
           cascade =
-            {
-              Types.pruned_size = stage_counts.(stage_size);
-              pruned_labels = stage_counts.(stage_labels);
-              pruned_degrees = stage_counts.(stage_degrees);
-              pruned_sed = stage_counts.(stage_sed);
-              early_accepted = stage_counts.(stage_early);
-              kernel_verified = stage_counts.(stage_kernel);
-              quarantined = stage_counts.(stage_quarantined);
-              memo_hits = Atomic.get Tsj_ted.Memo.hits - memo_hits0;
-              memo_misses = Atomic.get Tsj_ted.Memo.misses - memo_misses0;
-            };
+            Verifier.Tally.cascade tally
+              ~memo_hits:(Atomic.get Tsj_ted.Memo.hits - memo_hits0)
+              ~memo_misses:(Atomic.get Tsj_ted.Memo.misses - memo_misses0);
         };
     },
     {

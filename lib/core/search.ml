@@ -1,6 +1,5 @@
 module Tree = Tsj_tree.Tree
 module Binary_tree = Tsj_tree.Binary_tree
-module Ted = Tsj_ted.Ted
 module Types = Tsj_join.Types
 module Timer = Tsj_util.Timer
 
@@ -9,7 +8,7 @@ type size_entry = { index : Two_layer_index.t; mutable small : int list }
 type t = {
   tau : int;
   trees : Tree.t array;
-  preps : Ted.prep array;
+  forms : Verifier.form array; (* TED prep + compiled bounds, per tree *)
   entries : (int, size_entry) Hashtbl.t; (* size -> inverted list *)
 }
 
@@ -37,7 +36,7 @@ let build ?(mode = Two_layer_index.Two_sided) ~tau trees =
           (Subgraph.of_partition ~tree_id:id part)
       end)
     trees;
-  { tau; trees; preps = Array.map (fun t -> Ted.preprocess t) trees; entries }
+  { tau; trees; forms = Array.map Verifier.of_tree trees; entries }
 
 let tau t = t.tau
 
@@ -50,6 +49,9 @@ let candidates t ?(tau = t.tau) q =
   if tau < 0 then invalid_arg "Search.query: negative threshold";
   let qb = Binary_tree.of_tree q in
   let qsize = qb.Binary_tree.size in
+  (* One cursor serves every size of the band: the twig keys depend only
+     on the query. *)
+  let cursor = Two_layer_index.cursor qb in
   let found = Hashtbl.create 16 in
   (* Unlike the self-join sweep, indexed trees may be larger than the
      query: probe the whole [qsize ± tau] size band. *)
@@ -59,7 +61,7 @@ let candidates t ?(tau = t.tau) q =
     | Some entry ->
       List.iter (fun id -> Hashtbl.replace found id ()) entry.small;
       for v = 0 to qsize - 1 do
-        Two_layer_index.probe entry.index qb v (fun s ->
+        Two_layer_index.probe_cursor entry.index cursor v (fun s ->
             let id = s.Subgraph.tree_id in
             if not (Hashtbl.mem found id) then
               if Subgraph.matches s qb v then Hashtbl.replace found id ())
@@ -67,15 +69,26 @@ let candidates t ?(tau = t.tau) q =
   done;
   Hashtbl.fold (fun id () acc -> id :: acc) found []
 
+(* The clamped distance of one candidate, by the shared verifier;
+   [tally] counts the deciding stage. *)
+let verify ?tally ~tau qform form =
+  match Verifier.verify ~tau qform form with
+  | Verifier.Decided (d, stage) ->
+    Option.iter (fun tally -> Verifier.Tally.add tally stage) tally;
+    d
+  | Verifier.Refused -> assert false (* no [admit] gate here *)
+
+let by_distance =
+  List.sort (fun (i1, d1) (i2, d2) -> if d1 <> d2 then compare d1 d2 else compare i1 i2)
+
 let query ?tau t q =
   let tau = Option.value tau ~default:t.tau in
-  let qprep = Ted.preprocess q in
+  let qform = Verifier.of_tree q in
   candidates t ~tau q
   |> List.filter_map (fun id ->
-         let d = Ted.bounded_distance_prep qprep t.preps.(id) tau in
+         let d = verify ~tau qform t.forms.(id) in
          if d <= tau then Some (id, d) else None)
-  |> List.sort (fun (i1, d1) (i2, d2) ->
-         if d1 <> d2 then compare d1 d2 else compare i1 i2)
+  |> by_distance
 
 let format_line = "tsj-search-index v1"
 
@@ -170,21 +183,20 @@ let nearest ~k t q =
   if k < 0 then invalid_arg "Search.nearest: negative k";
   if k = 0 then []
   else begin
-    let qprep = Ted.preprocess q in
+    let qform = Verifier.of_tree q in
     let dist_cache : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let dist id =
       match Hashtbl.find_opt dist_cache id with
       | Some d -> d
       | None ->
         (* distances beyond the index threshold are never reported *)
-        let d = Ted.bounded_distance_prep qprep t.preps.(id) t.tau in
+        let d = verify ~tau:t.tau qform t.forms.(id) in
         Hashtbl.add dist_cache id d;
         d
     in
     let sorted_hits tau' =
       Hashtbl.fold (fun id d acc -> if d <= tau' then (id, d) :: acc else acc) dist_cache []
-      |> List.sort (fun (i1, d1) (i2, d2) ->
-             if d1 <> d2 then compare d1 d2 else compare i1 i2)
+      |> by_distance
     in
     (* Expand the radius until k trees are within it; every tree within
        radius tau' is guaranteed found by the radius-tau' candidate set,
@@ -202,19 +214,17 @@ let join_with ?tau t probes =
   let tau = Option.value tau ~default:t.tau in
   let cand_timer = Timer.create () in
   let verify_timer = Timer.create () in
+  let tally = Verifier.Tally.create () in
   let n_candidates = ref 0 in
   let pairs = ref [] in
   Array.iteri
     (fun j q ->
       let cands = Timer.time cand_timer (fun () -> candidates t ~tau q) in
-      let qprep = Timer.time verify_timer (fun () -> Ted.preprocess q) in
+      let qform = Timer.time verify_timer (fun () -> Verifier.of_tree q) in
       List.iter
         (fun i ->
           incr n_candidates;
-          let d =
-            Timer.time verify_timer (fun () ->
-                Ted.bounded_distance_prep qprep t.preps.(i) tau)
-          in
+          let d = Timer.time verify_timer (fun () -> verify ~tally ~tau qform t.forms.(i)) in
           if d <= tau then pairs := { Types.i; j; distance = d } :: !pairs)
         cands)
     probes;
@@ -244,7 +254,6 @@ let join_with ?tau t probes =
         n_results = List.length pairs;
         candidate_time_s = Timer.elapsed_s cand_timer;
         verify_time_s = Timer.elapsed_s verify_timer;
-        cascade =
-          { Types.empty_cascade with Types.kernel_verified = !n_candidates };
+        cascade = Verifier.Tally.cascade tally;
       };
   }

@@ -1265,8 +1265,9 @@ let run_scrub_storm ?(domains = 1) ?(seed = 0x5C12B) ?(rounds = 30) ~trees
         sb_transfer_expected = !transfer_expected;
         sb_full_resync_cost = !full_resync_cost;
         sb_transfer_frugal =
-          !transferred = !transfer_expected
-          && (!full_resync_cost = 0 || !transferred < !full_resync_cost);
+          (* exactly the minimum, which is the whole journal only when
+             the divergence or the quarantined suffix starts at seq 0 *)
+          !transferred = !transfer_expected && !transfer_expected <= !full_resync_cost;
         sb_wrong_answers = !wrong;
         sb_converged = converged;
       })

@@ -223,8 +223,12 @@ type scrub_storm_report = {
       (** summed store sizes at each anti-entropy call — what full
           re-syncs would have transferred *)
   sb_transfer_frugal : bool;
-      (** [sb_transferred = sb_transfer_expected], and strictly below
-          [sb_full_resync_cost]: repair moved only the differing range *)
+      (** [sb_transferred = sb_transfer_expected <= sb_full_resync_cost]:
+          repair moved exactly the differing range.  That range is the
+          whole journal when the rot or the divergence starts at seq 0
+          (a quarantined seq-0 record takes every later one with it), so
+          the transfer can equal a full re-sync's cost and still be the
+          minimum. *)
   sb_wrong_answers : int;
       (** probe answers that differed from the never-corrupted reference
           (degraded quarantine answers checked for invented hits) —

@@ -1,69 +1,100 @@
 module Tree = Tsj_tree.Tree
+module Postorder = Tsj_tree.Postorder
 module Traversal = Tsj_tree.Traversal
 module Multiset = Tsj_util.Multiset
 
 (* --- compiled per-tree forms --- *)
 
 module Compiled = struct
+  (* Five int arrays of [size] entries, about 5 words per node — and
+     only the two sorted multisets of them are the form's own when it is
+     compiled from a TED preparation ({!of_prep}): [post] (postorder
+     labels of the tree), [mpost] and [mlld] (postorder labels and
+     leftmost-leaf descendants of its mirror image) are the very arrays
+     the kernel's two decompositions use.
+
+     The mirror's postorder is the tree's preorder reversed.  String
+     edit distance is invariant under reversing both strings, so [mpost]
+     serves the preorder-SED bound as is; and walking down from node [p]
+     of the mirror — its last child is [p - 1], the child before child
+     [c] is [mlld.(c) - 1], until [mlld.(p)] — visits [p]'s children in
+     the tree's own left-to-right order, which is all the greedy upper
+     bound and the Euler tour need. *)
   type t = {
-    size : int;
     labels : Multiset.t;
     degrees : Multiset.t;
-    pre : int array;
     post : int array;
-    euler : int array;
-    kids : int array array;
-    sizes : int array;
+    mpost : int array;
+    mlld : int array;
   }
 
-  let of_tree tree =
-    let n = Tree.size tree in
-    let pre = Array.make n 0 in
-    let kids = Array.make n [||] in
-    let sizes = Array.make n 1 in
+  let of_postorders ~(tree : Postorder.t) ~(mirror : Postorder.t) =
+    let n = tree.size in
+    let mlld = mirror.lld in
     let degs = Array.make n 0 in
-    let counter = ref 0 in
-    let rec go (node : Tree.t) =
-      let me = !counter in
-      incr counter;
-      pre.(me) <- node.label;
-      let child_ids = List.map go node.children in
-      kids.(me) <- Array.of_list child_ids;
-      degs.(me) <- List.length node.children;
-      sizes.(me) <- List.fold_left (fun acc c -> acc + sizes.(c)) 1 child_ids;
-      me
-    in
-    ignore (go tree);
+    for p = 0 to n - 1 do
+      let c = ref (p - 1) in
+      while !c >= mlld.(p) do
+        degs.(p) <- degs.(p) + 1;
+        c := mlld.(!c) - 1
+      done
+    done;
     {
-      size = n;
-      labels = Multiset.of_unsorted pre;
+      labels = Multiset.of_unsorted tree.labels;
       degrees = Multiset.of_unsorted degs;
-      pre;
-      post = Traversal.postorder_labels tree;
-      euler = Traversal.euler_tour tree;
-      kids;
-      sizes;
+      post = tree.labels;
+      mpost = mirror.labels;
+      mlld;
     }
 
-  let size c = c.size
+  let of_tree tree =
+    of_postorders ~tree:(Postorder.of_tree tree) ~mirror:(Postorder.of_tree (Tree.mirror tree))
 
-  let preorder c = c.pre
+  let of_prep prep =
+    let tree, mirror = Ted.postorders prep in
+    of_postorders ~tree ~mirror
+
+  let size c = Array.length c.post
+
+  let seed_prefilter ~tau a b = String_edit.within a.mpost b.mpost tau
 
   (* Pairwise lower bounds on the compiled forms.  Each runs without any
      per-pair allocation: the multiset bounds are merge walks over the
      sorted arrays, the banded SED draws its rolling rows from the
      per-domain arena. *)
 
-  let size_bound a b = abs (a.size - b.size)
+  let size_bound a b = abs (size a - size b)
 
   let label_bound a b = (Multiset.symmetric_difference_size a.labels b.labels + 1) / 2
 
   let degree_bound a b = (Multiset.symmetric_difference_size a.degrees b.degrees + 2) / 3
 
   let traversal_bound a b =
-    max (String_edit.distance a.pre b.pre) (String_edit.distance a.post b.post)
+    max (String_edit.distance a.mpost b.mpost) (String_edit.distance a.post b.post)
 
-  let euler_bound a b = (String_edit.distance a.euler b.euler + 1) / 2
+  (* The Euler tour (each node's label on entry and on exit), rebuilt
+     from the mirror's arrays: not kept in [t], as only [best] needs
+     it. *)
+  let euler c =
+    let tour = Array.make (2 * size c) 0 in
+    let k = ref 0 in
+    let push l =
+      tour.(!k) <- l;
+      incr k
+    in
+    let rec go p =
+      push c.mpost.(p);
+      let child = ref (p - 1) in
+      while !child >= c.mlld.(p) do
+        go !child;
+        child := c.mlld.(!child) - 1
+      done;
+      push c.mpost.(p)
+    in
+    go (size c - 1);
+    tour
+
+  let euler_bound a b = (String_edit.distance (euler a) (euler b) + 1) / 2
 
   let best a b =
     List.fold_left max 0
@@ -85,26 +116,25 @@ module Compiled = struct
      stage lossless under [Sweep.Constrained].  O(min size) time, zero
      allocation. *)
   let upper a b =
-    let pre_a = a.pre and pre_b = b.pre in
-    let kids_a = a.kids and kids_b = b.kids in
-    let sizes_a = a.sizes and sizes_b = b.sizes in
+    let lab_a = a.mpost and lab_b = b.mpost in
+    let lld_a = a.mlld and lld_b = b.mlld in
     let rec go i j =
-      let c = ref (if pre_a.(i) = pre_b.(j) then 0 else 1) in
-      let ka = kids_a.(i) and kb = kids_b.(j) in
-      let m = Array.length ka and n = Array.length kb in
-      let shared = if m < n then m else n in
-      for x = 0 to shared - 1 do
-        c := !c + go ka.(x) kb.(x)
+      let c = ref (if lab_a.(i) = lab_b.(j) then 0 else 1) in
+      (* Children matched position by position, first to last: [x]/[y]
+         walk the child lists down the mirror's postorder, which ends at
+         [stop_x]/[stop_y]. *)
+      let stop_x = lld_a.(i) and stop_y = lld_b.(j) in
+      let x = ref (i - 1) and y = ref (j - 1) in
+      while !x >= stop_x && !y >= stop_y do
+        c := !c + go !x !y;
+        x := lld_a.(!x) - 1;
+        y := lld_b.(!y) - 1
       done;
-      for x = shared to m - 1 do
-        c := !c + sizes_a.(ka.(x))
-      done;
-      for x = shared to n - 1 do
-        c := !c + sizes_b.(kb.(x))
-      done;
-      !c
+      (* The unmatched tail of either child list is deleted / inserted
+         whole: its cost is the node count of the remaining children. *)
+      !c + (!x - stop_x + 1) + (!y - stop_y + 1)
     in
-    go 0 0
+    go (size a - 1) (size b - 1)
 
   (* --- the verification filter cascade --- *)
 
@@ -135,7 +165,7 @@ module Compiled = struct
              preorder (resp. postorder) label sequence in exactly one
              position, so both are TED lower bounds; within the band the
              returned values are exact. *)
-          let s1 = String_edit.bounded_distance a.pre b.pre tau in
+          let s1 = String_edit.bounded_distance a.mpost b.mpost tau in
           if s1 > tau then Pruned Sed
           else begin
             let s2 = String_edit.bounded_distance a.post b.post tau in

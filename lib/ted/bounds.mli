@@ -19,20 +19,29 @@
     - Euler string: Akutsu et al. — each operation edits the Euler tour in
       at most two positions. *)
 
-(** Per-tree forms compiled once (during join preprocessing) so that the
-    pairwise bounds run with zero per-pair allocation: sorted label and
-    degree multisets, traversal label arrays, the Euler string, and the
-    child/size arrays of the greedy-mapping upper bound. *)
+(** Per-tree forms compiled once (during join preprocessing, or at
+    insert for a served tree) so that the pairwise bounds run with zero
+    per-pair allocation: sorted label and degree multisets, and the
+    postorder label arrays of the tree and of its mirror image with the
+    mirror's leftmost-leaf array — about 5 words per node.  Compiled
+    from a TED preparation ({!of_prep}), the three postorder arrays are
+    the preparation's own, so the form adds about 2 words per node. *)
 module Compiled : sig
   type t
 
   val of_tree : Tsj_tree.Tree.t -> t
 
+  val of_prep : Ted.prep -> t
+  (** The form of the prep's tree, sharing the prep's postorder arrays
+      (see {!Ted.postorders}). *)
+
   val size : t -> int
   (** Node count of the compiled tree. *)
 
-  val preorder : t -> int array
-  (** The compiled preorder label sequence (shared — do not mutate). *)
+  val seed_prefilter : tau:int -> t -> t -> bool
+  (** Is the preorder label sequences' string edit distance at most
+      [tau]?  The lone prefilter of the seed verifier, kept for the
+      batch join's cascade-off ablation. *)
 
   val size_bound : t -> t -> int
 
@@ -44,6 +53,8 @@ module Compiled : sig
   (** [max preorder_sed postorder_sed] — the STR filter (unbanded). *)
 
   val euler_bound : t -> t -> int
+  (** Rebuilds both Euler strings (they are not stored): for {!best},
+      off the verification hot path. *)
 
   val best : t -> t -> int
   (** Maximum of all the lower bounds above. *)

@@ -57,6 +57,15 @@ let preprocess ?dag tree =
 
 let tree p = p.tree
 
+let postorders p = (p.left_po, p.right_po)
+
+let equal_consed p1 p2 =
+  let a = p1.left_po and b = p2.left_po in
+  a.size > 0
+  && Array.length a.dag = a.size
+  && Array.length b.dag = b.size
+  && a.dag.(a.size - 1) = b.dag.(b.size - 1)
+
 let size p = p.size
 
 let distance_prep ?(algorithm = Hybrid) p1 p2 =

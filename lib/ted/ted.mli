@@ -46,6 +46,15 @@ val tree : prep -> Tsj_tree.Tree.t
 
 val size : prep -> int
 
+val postorders : prep -> Tsj_tree.Postorder.t * Tsj_tree.Postorder.t
+(** The two decompositions' array forms: of the tree, and of its mirror
+    image (shared — do not mutate). *)
+
+val equal_consed : prep -> prep -> bool
+(** O(1): are both preps consed ({!preprocess_consed}) with equal root
+    DAG ids?  DAG ids are globally unique, so [true] means the trees are
+    structurally equal (TED 0); [false] says nothing. *)
+
 val distance : ?algorithm:algorithm -> Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
 
 val distance_prep : ?algorithm:algorithm -> prep -> prep -> int

@@ -2,7 +2,6 @@ type t = {
   size : int;
   labels : int array;
   lld : int array;
-  parent : int array;
   keyroots : int array;
   dag : int array;
 }
@@ -37,7 +36,7 @@ let of_tree tree =
     (me, my_lld)
   in
   ignore (go tree);
-  { size = n; labels; lld; parent; keyroots = keyroots_of n lld parent; dag = [||] }
+  { size = n; labels; lld; keyroots = keyroots_of n lld parent; dag = [||] }
 
 let of_dag (root : Dag.node) =
   let n = Dag.size root in
@@ -65,7 +64,7 @@ let of_dag (root : Dag.node) =
     (me, my_lld)
   in
   ignore (go root);
-  { size = n; labels; lld; parent; keyroots = keyroots_of n lld parent; dag }
+  { size = n; labels; lld; keyroots = keyroots_of n lld parent; dag }
 
 let n_leaves t =
   let count = ref 0 in

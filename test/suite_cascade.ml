@@ -47,6 +47,61 @@ let prop_compiled_lower_bounds =
           ("best", Bounds.Compiled.best ca cb);
         ])
 
+(* --- the compact compiled form against a reference over Tree.t --- *)
+
+(* Written over the tree's own child lists, independently of the
+   compiled arrays: the greedy script's cost, and the Euler-string
+   bound. *)
+let rec ref_upper (a : Tree.t) (b : Tree.t) =
+  (if a.label = b.label then 0 else 1) + ref_upper_children a.children b.children
+
+and ref_upper_children xs ys =
+  match (xs, ys) with
+  | x :: xs, y :: ys -> ref_upper x y + ref_upper_children xs ys
+  | rest, [] | [], rest -> List.fold_left (fun acc t -> acc + Tree.size t) 0 rest
+
+let rec ref_euler (t : Tree.t) = (t.label :: List.concat_map ref_euler t.children) @ [ t.label ]
+
+let ref_euler_bound a b =
+  (Tsj_ted.String_edit.distance
+     (Array.of_list (ref_euler a))
+     (Array.of_list (ref_euler b))
+  + 1)
+  / 2
+
+let prop_compiled_matches_reference =
+  Gen.qtest ~count:200 "compact compiled upper/euler = Tree.t reference"
+    (Gen.arb_tree_pair ~max_size:14 ()) (fun (a, b) ->
+      let dag = Tsj_tree.Dag.create () in
+      let forms t =
+        [
+          ("of_tree", Bounds.Compiled.of_tree t);
+          ("of_prep", Bounds.Compiled.of_prep (Tsj_ted.Ted.preprocess t));
+          ("of_prep consed", Bounds.Compiled.of_prep (Tsj_ted.Ted.preprocess ~dag t));
+        ]
+      in
+      let up = ref_upper a b and eu = ref_euler_bound a b in
+      List.for_all2
+        (fun (name, ca) (_, cb) ->
+          let u = Bounds.Compiled.upper ca cb and e = Bounds.Compiled.euler_bound ca cb in
+          if u <> up || e <> eu then
+            QCheck.Test.fail_reportf "%s: upper %d (ref %d), euler %d (ref %d) on %s / %s"
+              name u up e eu (Gen.pp_tree a) (Gen.pp_tree b)
+          else true)
+        (forms a) (forms b))
+
+(* The compact form keeps five int arrays of [size] entries: at most 5
+   words per node plus headers. *)
+let test_compiled_words_per_node () =
+  let trees = Tsj_datagen.Profiles.instantiate Tsj_datagen.Profiles.swissprot ~seed:7 ~n:50 in
+  Array.iter
+    (fun t ->
+      let n = Tree.size t in
+      let words = Obj.reachable_words (Obj.repr (Bounds.Compiled.of_tree t)) in
+      if words > (5 * n) + 16 then
+        Alcotest.failf "compiled form of a %d-node tree takes %d words (> 5n + 16)" n words)
+    trees
+
 (* --- greedy-mapping upper bound --- *)
 
 let prop_upper_bounds_ted =
@@ -204,6 +259,9 @@ let suite =
   [
     prop_compiled_matches_per_pair;
     prop_compiled_lower_bounds;
+    prop_compiled_matches_reference;
+    Alcotest.test_case "compiled form: at most 5 words per node" `Quick
+      test_compiled_words_per_node;
     prop_upper_bounds_ted;
     Alcotest.test_case "upper zero on equal" `Quick test_upper_zero_on_equal;
     prop_cascade_sound;

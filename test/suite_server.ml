@@ -1821,17 +1821,32 @@ let test_scrub_storm () =
 (* Property (qcheck): at ANY random bit-rot schedule, every injected
    corruption is detected, no answer is ever wrong, anti-entropy
    transfers exactly the diverging suffixes, and the stores converge. *)
+let small_scrub_storm seed =
+  let rng = Prng.create (9300 + seed) in
+  let trees = Array.init 10 (fun _ -> Gen.random_tree rng (3 + Prng.int rng 8)) in
+  let queries = Array.init 2 (fun _ -> Gen.random_tree rng (3 + Prng.int rng 8)) in
+  Faults.run_scrub_storm ~seed ~rounds:8 ~trees ~queries ~tau:2 ()
+
+let scrub_storm_holds r =
+  r.Faults.sb_all_detected
+  && r.Faults.sb_wrong_answers = 0
+  && r.Faults.sb_transfer_frugal && r.Faults.sb_converged
+
 let prop_scrub_storm =
   Gen.qtest ~count:10 "scrub storm invariants under random seeds"
     QCheck.(int_bound 100_000)
-    (fun seed ->
-      let rng = Prng.create (9300 + seed) in
-      let trees = Array.init 10 (fun _ -> Gen.random_tree rng (3 + Prng.int rng 8)) in
-      let queries = Array.init 2 (fun _ -> Gen.random_tree rng (3 + Prng.int rng 8)) in
-      let r = Faults.run_scrub_storm ~seed ~rounds:8 ~trees ~queries ~tau:2 () in
-      r.Faults.sb_all_detected
-      && r.Faults.sb_wrong_answers = 0
-      && r.Faults.sb_transfer_frugal && r.Faults.sb_converged)
+    (fun seed -> scrub_storm_holds (small_scrub_storm seed))
+
+(* Regression: at this seed a quarantine reopen rots the seq-0 record, so
+   the whole journal is the diverging suffix and anti-entropy's minimal
+   transfer equals a full re-sync's cost. *)
+let test_scrub_storm_seq0_quarantine () =
+  let r = small_scrub_storm 51498 in
+  Alcotest.(check int) "transfer = whole journal" r.Faults.sb_full_resync_cost
+    r.Faults.sb_transferred;
+  Alcotest.(check int) "transfer = minimum" r.Faults.sb_transfer_expected
+    r.Faults.sb_transferred;
+  Alcotest.(check bool) "invariants hold" true (scrub_storm_holds r)
 
 (* --- overload robustness: deadlines, fair admission, hygiene --- *)
 
@@ -2140,6 +2155,8 @@ let suite =
       test_server_background_scrubber;
     Alcotest.test_case "scrub storm" `Quick test_scrub_storm;
     prop_scrub_storm;
+    Alcotest.test_case "scrub storm: seq-0 quarantine transfers the whole journal"
+      `Quick test_scrub_storm_seq0_quarantine;
     Alcotest.test_case "expired deadlines answered ERR on the wire" `Quick
       test_deadline_expired_on_wire;
     Alcotest.test_case "STATS latency quantiles (text and binary)" `Quick

@@ -168,16 +168,21 @@ let prop_postorder_invariants =
   Gen.qtest "postorder invariants" (Gen.arb_tree ~max_size:25 ()) (fun x ->
       let p = Postorder.of_tree x in
       let n = p.Postorder.size in
-      (* root is always a keyroot, llds point below, parents above *)
+      (* root is always a keyroot, llds point below, parents above, and
+         the keyroots are exactly the root plus every node whose parent
+         has a different lld *)
+      let parent = Tsj_tree.Traversal.parent_postorder x in
       Array.length p.Postorder.keyroots > 0
       && p.Postorder.keyroots.(Array.length p.Postorder.keyroots - 1) = n - 1
       && Array.for_all (fun i -> i >= 0) p.Postorder.lld
       && (let ok = ref true in
           for i = 0 to n - 1 do
             if p.Postorder.lld.(i) > i then ok := false;
-            let par = p.Postorder.parent.(i) in
+            let par = parent.(i) in
             if i = n - 1 then (if par <> -1 then ok := false)
-            else if par <= i then ok := false
+            else if par <= i then ok := false;
+            let keyroot = par = -1 || p.Postorder.lld.(par) <> p.Postorder.lld.(i) in
+            if keyroot <> Array.mem i p.Postorder.keyroots then ok := false
           done;
           !ok))
 
