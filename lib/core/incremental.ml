@@ -123,13 +123,7 @@ let find_equal t q =
   | [] -> None
   | ids -> Some (List.fold_left min max_int ids)
 
-(* Decide one candidate through the shared verifier and count how. *)
-let verify t ~tau qform id =
-  match Verifier.verify ~tau qform t.forms.(id) with
-  | Verifier.Decided (d, stage) ->
-    Verifier.Tally.add t.tally stage;
-    d
-  | Verifier.Refused -> assert false (* no [admit] gate here *)
+let distance t ~tau qform id = Verifier.distance ~tally:t.tally ~tau qform t.forms.(id)
 
 let add t tree =
   let id = t.count in
@@ -165,7 +159,7 @@ let add t tree =
     List.filter_map
       (fun tj ->
         t.n_candidates <- t.n_candidates + 1;
-        let d = verify t ~tau:t.tau form tj in
+        let d = distance t ~tau:t.tau form tj in
         if d <= t.tau then Some (tj, d) else None)
       pending
     |> List.sort compare
@@ -231,20 +225,14 @@ let query ?budget ?(domains = 1) ?tau t q =
   in
   let chunk_from lo =
     let hi = min n (lo + verify_chunk_size) in
-    (* Workers only decide; the stages are tallied here, on the caller. *)
-    let verdicts =
+    let ds =
       Tsj_join.Parallel.map ~domains
-        (fun tj -> Verifier.verify ~tau qform t.forms.(tj))
+        (fun tj -> distance t ~tau qform tj)
         (Array.sub cands lo (hi - lo))
     in
     Array.iteri
-      (fun k v ->
-        match v with
-        | Verifier.Decided (d, stage) ->
-          Verifier.Tally.add t.tally stage;
-          if d <= tau then hits := (cands.(lo + k), d) :: !hits
-        | Verifier.Refused -> assert false (* no [admit] gate here *))
-      verdicts;
+      (fun k d -> if d <= tau then hits := (cands.(lo + k), d) :: !hits)
+      ds;
     hi
   in
   let rec go lo =
@@ -286,7 +274,7 @@ let nearest ~k t q =
       match Hashtbl.find_opt dist_cache tj with
       | Some d -> d
       | None ->
-        let d = verify t ~tau:t.tau qform tj in
+        let d = distance t ~tau:t.tau qform tj in
         Hashtbl.add dist_cache tj d;
         d
     in

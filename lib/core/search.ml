@@ -69,15 +69,6 @@ let candidates t ?(tau = t.tau) q =
   done;
   Hashtbl.fold (fun id () acc -> id :: acc) found []
 
-(* The clamped distance of one candidate, by the shared verifier;
-   [tally] counts the deciding stage. *)
-let verify ?tally ~tau qform form =
-  match Verifier.verify ~tau qform form with
-  | Verifier.Decided (d, stage) ->
-    Option.iter (fun tally -> Verifier.Tally.add tally stage) tally;
-    d
-  | Verifier.Refused -> assert false (* no [admit] gate here *)
-
 let by_distance =
   List.sort (fun (i1, d1) (i2, d2) -> if d1 <> d2 then compare d1 d2 else compare i1 i2)
 
@@ -86,7 +77,7 @@ let query ?tau t q =
   let qform = Verifier.of_tree q in
   candidates t ~tau q
   |> List.filter_map (fun id ->
-         let d = verify ~tau qform t.forms.(id) in
+         let d = Verifier.distance ~tau qform t.forms.(id) in
          if d <= tau then Some (id, d) else None)
   |> by_distance
 
@@ -190,7 +181,7 @@ let nearest ~k t q =
       | Some d -> d
       | None ->
         (* distances beyond the index threshold are never reported *)
-        let d = verify ~tau:t.tau qform t.forms.(id) in
+        let d = Verifier.distance ~tau:t.tau qform t.forms.(id) in
         Hashtbl.add dist_cache id d;
         d
     in
@@ -224,7 +215,7 @@ let join_with ?tau t probes =
       List.iter
         (fun i ->
           incr n_candidates;
-          let d = Timer.time verify_timer (fun () -> verify ~tally ~tau qform t.forms.(i)) in
+          let d = Timer.time verify_timer (fun () -> Verifier.distance ~tally ~tau qform t.forms.(i)) in
           if d <= tau then pairs := { Types.i; j; distance = d } :: !pairs)
         cands)
     probes;

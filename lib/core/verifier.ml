@@ -8,45 +8,9 @@ let of_prep prep = { prep; bounds = Compiled.of_prep prep }
 
 let of_tree tree = of_prep (Ted.preprocess tree)
 
-let prep f = f.prep
-
-let bounds f = f.bounds
-
 let tree f = Ted.tree f.prep
 
 type stage = Size | Labels | Degrees | Sed | Early | Kernel | Quarantined
-
-type verdict = Decided of int * stage | Refused
-
-type mode = Cascade | Seed | Unbounded
-
-let always () = true
-
-let verify ?metric ?(mode = Cascade) ?(admit = always) ~tau a b =
-  if tau < 0 then invalid_arg "Verifier.verify: negative threshold";
-  let kernel band =
-    if admit () then Decided (Sweep.verify_bounded ?metric ~tau:band a.prep b.prep, Kernel)
-    else Refused
-  in
-  match mode with
-  | Cascade -> (
-    if Ted.equal_consed a.prep b.prep then Decided (0, Early)
-    else
-      match Compiled.cascade ~tau a.bounds b.bounds with
-      | Compiled.Pruned Compiled.Size -> Decided (tau + 1, Size)
-      | Compiled.Pruned Compiled.Labels -> Decided (tau + 1, Labels)
-      | Compiled.Pruned Compiled.Degrees -> Decided (tau + 1, Degrees)
-      | Compiled.Pruned Compiled.Sed -> Decided (tau + 1, Sed)
-      | Compiled.Accept d -> Decided (d, Early)
-      | Compiled.Verify { band } -> kernel band)
-  | Seed ->
-    if Compiled.seed_prefilter ~tau a.bounds b.bounds then kernel tau
-    else Decided (tau + 1, Sed)
-  | Unbounded ->
-    if admit () then Decided (Sweep.verify_distance ?metric a.prep b.prep, Kernel)
-    else Refused
-
-let sandwich a b = (Compiled.best a.bounds b.bounds, Compiled.upper a.bounds b.bounds)
 
 module Tally = struct
   type t = int Atomic.t array
@@ -86,3 +50,42 @@ module Tally = struct
       memo_misses;
     }
 end
+
+type verdict = Decided of int * stage | Refused
+
+type mode = Cascade | Seed | Unbounded
+
+let always () = true
+
+let verify ?metric ?(mode = Cascade) ?(admit = always) ~tau a b =
+  if tau < 0 then invalid_arg "Verifier.verify: negative threshold";
+  let kernel band =
+    if admit () then Decided (Sweep.verify_bounded ?metric ~tau:band a.prep b.prep, Kernel)
+    else Refused
+  in
+  match mode with
+  | Cascade -> (
+    if Ted.equal_consed a.prep b.prep then Decided (0, Early)
+    else
+      match Compiled.cascade ~tau a.bounds b.bounds with
+      | Compiled.Pruned Compiled.Size -> Decided (tau + 1, Size)
+      | Compiled.Pruned Compiled.Labels -> Decided (tau + 1, Labels)
+      | Compiled.Pruned Compiled.Degrees -> Decided (tau + 1, Degrees)
+      | Compiled.Pruned Compiled.Sed -> Decided (tau + 1, Sed)
+      | Compiled.Accept d -> Decided (d, Early)
+      | Compiled.Verify { band } -> kernel band)
+  | Seed ->
+    if Compiled.seed_prefilter ~tau a.bounds b.bounds then kernel tau
+    else Decided (tau + 1, Sed)
+  | Unbounded ->
+    if admit () then Decided (Sweep.verify_distance ?metric a.prep b.prep, Kernel)
+    else Refused
+
+let sandwich a b = (Compiled.best a.bounds b.bounds, Compiled.upper a.bounds b.bounds)
+
+let distance ?tally ~tau a b =
+  match verify ~tau a b with
+  | Decided (d, stage) ->
+    Option.iter (fun t -> Tally.add t stage) tally;
+    d
+  | Refused -> assert false (* no [admit] gate *)

@@ -25,15 +25,12 @@ type form
     Built once per stored tree and once per query tree. *)
 
 val of_prep : Tsj_ted.Ted.prep -> form
-(** Compile the bound form of the prep's tree and pair it with the
-    prep (consed or not). *)
+(** Compile the bound form of the prep's tree ({!Tsj_ted.Bounds.Compiled.of_prep},
+    sharing the prep's arrays) and pair it with the prep (consed or
+    not). *)
 
 val of_tree : Tsj_tree.Tree.t -> form
 (** [of_prep (Ted.preprocess tree)]: an unconsed form. *)
-
-val prep : form -> Tsj_ted.Ted.prep
-
-val bounds : form -> Tsj_ted.Bounds.Compiled.t
 
 val tree : form -> Tsj_tree.Tree.t
 (** The tree the form was built from (the shared structural view when
@@ -52,6 +49,29 @@ type stage =
   | Early  (** equal consed roots, or the bound sandwich closed *)
   | Kernel  (** decided by the exact banded kernel *)
   | Quarantined
+
+(** Per-stage decision counters, safe to bump from several threads.
+    Slot order is that of {!stage}. *)
+module Tally : sig
+  type t
+
+  val create : unit -> t
+
+  val slots : int
+  (** Number of counters: one per {!stage}. *)
+
+  val add : t -> stage -> unit
+
+  val to_array : t -> int array
+  (** The counts in {!stage} order (the batch join's checkpoint
+      format). *)
+
+  val restore : t -> int array -> unit
+  (** Overwrite the counts from {!to_array}'s layout.
+      @raise Invalid_argument unless the array has {!slots} entries. *)
+
+  val cascade : ?memo_hits:int -> ?memo_misses:int -> t -> Tsj_join.Types.cascade
+end
 
 type verdict =
   | Decided of int * stage
@@ -86,25 +106,7 @@ val sandwich : form -> form -> int * int
     forms alone (no kernel): the best lower bound and the greedy upper
     bound.  The answer for a pair left unverified by a budget. *)
 
-(** Per-stage decision counters, safe to bump from several threads.
-    Slot order is that of {!stage}. *)
-module Tally : sig
-  type t
-
-  val create : unit -> t
-
-  val slots : int
-  (** Number of counters: one per {!stage}. *)
-
-  val add : t -> stage -> unit
-
-  val to_array : t -> int array
-  (** The counts in {!stage} order (the batch join's checkpoint
-      format). *)
-
-  val restore : t -> int array -> unit
-  (** Overwrite the counts from {!to_array}'s layout.
-      @raise Invalid_argument unless the array has {!slots} entries. *)
-
-  val cascade : ?memo_hits:int -> ?memo_misses:int -> t -> Tsj_join.Types.cascade
-end
+val distance : ?tally:Tally.t -> tau:int -> form -> form -> int
+(** {!verify} with no kernel gate, for the paths that verify every
+    candidate: the clamped distance, with the deciding stage counted in
+    [tally] (safe from any domain). *)
