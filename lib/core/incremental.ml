@@ -116,6 +116,8 @@ let band_candidates t ~tau btree =
   done;
   !pending
 
+let candidates t ~tau q = List.sort compare (band_candidates t ~tau (Binary_tree.of_tree q))
+
 let find_equal t q =
   Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]
   |> List.filter (fun id -> Tree.equal (tree t id) q)
@@ -125,15 +127,20 @@ let find_equal t q =
 
 let distance t ~tau qform id = Verifier.distance ~tally:t.tally ~tau qform t.forms.(id)
 
-let add t tree =
+let form t id =
+  if id < 0 || id >= t.count then invalid_arg "Incremental.form: unknown id";
+  t.forms.(id)
+
+(* Store [tree] under the next id: intern it first so the stored slot
+   is the shared structural view (a duplicate of an earlier tree is then
+   physically equal to it) and the consed prep carries DAG ids for the
+   verifier and the kernels.  Consing is an optimisation — if it raises
+   on a pathological shape, fall back to an unconsed prep of the tree as
+   given.  Returns the id, the stored form and the LC-RS form to probe
+   and partition. *)
+let store t tree =
   let id = t.count in
   let prep =
-    (* Intern first so the stored slot is the shared structural view:
-       a duplicate of an earlier tree is then physically equal to it,
-       and the consed prep carries DAG ids for the verifier and the
-       kernels.  Consing is an optimisation — if it raises on a
-       pathological shape, fall back to an unconsed prep of the tree as
-       given. *)
     match t.dag with
     | None -> Ted.preprocess tree
     | Some dag -> (
@@ -149,8 +156,25 @@ let add t tree =
   (let key = tree_key tree in
    let ids = Option.value (Hashtbl.find_opt t.exact key) ~default:[] in
    Hashtbl.replace t.exact key (id :: ids));
-  let btree = Binary_tree.of_tree tree in
+  (id, form, Binary_tree.of_tree tree)
+
+(* Partition tree [id] and index its subgraphs (or keep it whole in the
+   overflow list when it has fewer than δ nodes). *)
+let index t id btree =
   let size = btree.Binary_tree.size in
+  let entry = entry_for t size in
+  if size < t.delta then entry.small <- id :: entry.small
+  else begin
+    let part = Partition.partition btree ~delta:t.delta in
+    Array.iter
+      (fun s ->
+        Two_layer_index.insert entry.index s;
+        t.n_indexed <- t.n_indexed + 1)
+      (Subgraph.of_partition ~tree_id:id part)
+  end
+
+let add t tree =
+  let id, form, btree = store t tree in
   (* 1. Probe: candidates among all previously inserted trees in the
      size band, in either direction. *)
   let pending = band_candidates t ~tau:t.tau btree in
@@ -165,17 +189,12 @@ let add t tree =
     |> List.sort compare
   in
   (* 3. Index the new tree. *)
-  let entry = entry_for t size in
-  if size < t.delta then entry.small <- id :: entry.small
-  else begin
-    let part = Partition.partition btree ~delta:t.delta in
-    Array.iter
-      (fun s ->
-        Two_layer_index.insert entry.index s;
-        t.n_indexed <- t.n_indexed + 1)
-      (Subgraph.of_partition ~tree_id:id part)
-  end;
+  index t id btree;
   results
+
+let insert t tree =
+  let id, _, btree = store t tree in
+  index t id btree
 
 (* --- non-mutating queries (the serving path) --- *)
 
@@ -213,8 +232,7 @@ let query ?budget ?(domains = 1) ?tau t q =
     { hits; degraded = false; unverified = [] }
   end
   else begin
-  let qb = Binary_tree.of_tree q in
-  let cands = Array.of_list (List.sort compare (band_candidates t ~tau qb)) in
+  let cands = Array.of_list (candidates t ~tau q) in
   let qform = Verifier.of_tree q in
   let n = Array.length cands in
   let hits = ref [] in

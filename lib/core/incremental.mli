@@ -38,8 +38,22 @@ val add : t -> Tsj_tree.Tree.t -> (int * int) list
     inserted trees) and returns [(id, distance)] for every earlier tree
     within [τ], sorted by id. *)
 
+val insert : t -> Tsj_tree.Tree.t -> unit
+(** {!add} without the probe and the verification: the tree is stored
+    and indexed under the next id, its partners are not computed — how
+    {!Search} builds a static collection. *)
+
 val tree : t -> int -> Tsj_tree.Tree.t
 (** @raise Invalid_argument on an unknown id. *)
+
+val form : t -> int -> Verifier.form
+(** The stored tree's verifier form, built once at insert.
+    @raise Invalid_argument on an unknown id. *)
+
+val candidates : t -> tau:int -> Tsj_tree.Tree.t -> int list
+(** The ids the subgraph index proposes for a tree over the
+    [size ± tau] band (a superset of the ids within [tau], for any
+    [tau] up to the index threshold), sorted — unverified. *)
 
 val find_equal : t -> Tsj_tree.Tree.t -> int option
 (** The smallest id whose tree is structurally equal to the argument

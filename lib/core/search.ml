@@ -1,85 +1,34 @@
 module Tree = Tsj_tree.Tree
-module Binary_tree = Tsj_tree.Binary_tree
 module Types = Tsj_join.Types
 module Timer = Tsj_util.Timer
 
-type size_entry = { index : Two_layer_index.t; mutable small : int list }
+(* A static collection is the streaming index with every tree inserted
+   up front: one probe and one verifier for both. *)
+type t = Incremental.t
 
-type t = {
-  tau : int;
-  trees : Tree.t array;
-  forms : Verifier.form array; (* TED prep + compiled bounds, per tree *)
-  entries : (int, size_entry) Hashtbl.t; (* size -> inverted list *)
-}
-
-let build ?(mode = Two_layer_index.Two_sided) ~tau trees =
+let build ?mode ~tau trees =
   if tau < 0 then invalid_arg "Search.build: negative threshold";
-  let delta = (2 * tau) + 1 in
-  let entries = Hashtbl.create 64 in
-  let entry_for size =
-    match Hashtbl.find_opt entries size with
-    | Some e -> e
-    | None ->
-      let e = { index = Two_layer_index.create ~mode ~tau (); small = [] } in
-      Hashtbl.add entries size e;
-      e
-  in
-  Array.iteri
-    (fun id tree ->
-      let btree = Binary_tree.of_tree tree in
-      let entry = entry_for btree.Binary_tree.size in
-      if btree.Binary_tree.size < delta then entry.small <- id :: entry.small
-      else begin
-        let part = Partition.partition btree ~delta in
-        Array.iter
-          (Two_layer_index.insert entry.index)
-          (Subgraph.of_partition ~tree_id:id part)
-      end)
-    trees;
-  { tau; trees; forms = Array.map Verifier.of_tree trees; entries }
+  let t = Incremental.create ?mode ~tau () in
+  Array.iter (Incremental.insert t) trees;
+  t
 
-let tau t = t.tau
+let tau = Incremental.tau
 
-let n_trees t = Array.length t.trees
+let n_trees = Incremental.n_trees
 
-let candidates t ?(tau = t.tau) q =
-  if tau > t.tau then
+let trees t = Array.init (n_trees t) (Incremental.tree t)
+
+let check_tau t tau =
+  if tau > Incremental.tau t then
     invalid_arg
-      (Printf.sprintf "Search.query: tau = %d exceeds the index threshold %d" tau t.tau);
-  if tau < 0 then invalid_arg "Search.query: negative threshold";
-  let qb = Binary_tree.of_tree q in
-  let qsize = qb.Binary_tree.size in
-  (* One cursor serves every size of the band: the twig keys depend only
-     on the query. *)
-  let cursor = Two_layer_index.cursor qb in
-  let found = Hashtbl.create 16 in
-  (* Unlike the self-join sweep, indexed trees may be larger than the
-     query: probe the whole [qsize ± tau] size band. *)
-  for size = max 1 (qsize - tau) to qsize + tau do
-    match Hashtbl.find_opt t.entries size with
-    | None -> ()
-    | Some entry ->
-      List.iter (fun id -> Hashtbl.replace found id ()) entry.small;
-      for v = 0 to qsize - 1 do
-        Two_layer_index.probe_cursor entry.index cursor v (fun s ->
-            let id = s.Subgraph.tree_id in
-            if not (Hashtbl.mem found id) then
-              if Subgraph.matches s qb v then Hashtbl.replace found id ())
-      done
-  done;
-  Hashtbl.fold (fun id () acc -> id :: acc) found []
-
-let by_distance =
-  List.sort (fun (i1, d1) (i2, d2) -> if d1 <> d2 then compare d1 d2 else compare i1 i2)
+      (Printf.sprintf "Search.query: tau = %d exceeds the index threshold %d" tau
+         (Incremental.tau t));
+  if tau < 0 then invalid_arg "Search.query: negative threshold"
 
 let query ?tau t q =
-  let tau = Option.value tau ~default:t.tau in
-  let qform = Verifier.of_tree q in
-  candidates t ~tau q
-  |> List.filter_map (fun id ->
-         let d = Verifier.distance ~tau qform t.forms.(id) in
-         if d <= tau then Some (id, d) else None)
-  |> by_distance
+  let tau = Option.value tau ~default:(Incremental.tau t) in
+  check_tau t tau;
+  (Incremental.query ~tau t q).Incremental.hits
 
 let format_line = "tsj-search-index v1"
 
@@ -98,7 +47,7 @@ let save_collection ~tau trees path =
         trees);
   Tsj_util.Durable.rename tmp path
 
-let save t path = save_collection ~tau:t.tau t.trees path
+let save t path = save_collection ~tau:(tau t) (trees t) path
 
 (* One record per line, parsed line by line so every diagnostic carries
    the 1-based file line (the header occupies lines 1-2).  The error
@@ -172,37 +121,11 @@ let load path =
 
 let nearest ~k t q =
   if k < 0 then invalid_arg "Search.nearest: negative k";
-  if k = 0 then []
-  else begin
-    let qform = Verifier.of_tree q in
-    let dist_cache : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let dist id =
-      match Hashtbl.find_opt dist_cache id with
-      | Some d -> d
-      | None ->
-        (* distances beyond the index threshold are never reported *)
-        let d = Verifier.distance ~tau:t.tau qform t.forms.(id) in
-        Hashtbl.add dist_cache id d;
-        d
-    in
-    let sorted_hits tau' =
-      Hashtbl.fold (fun id d acc -> if d <= tau' then (id, d) :: acc else acc) dist_cache []
-      |> by_distance
-    in
-    (* Expand the radius until k trees are within it; every tree within
-       radius tau' is guaranteed found by the radius-tau' candidate set,
-       so once hits >= k the closest k are final. *)
-    let rec expand tau' =
-      List.iter (fun id -> ignore (dist id)) (candidates t ~tau:tau' q);
-      let hits = sorted_hits tau' in
-      if List.length hits >= k || tau' = t.tau then hits else expand (tau' + 1)
-    in
-    let hits = expand 0 in
-    List.filteri (fun i _ -> i < k) hits
-  end
+  Incremental.nearest ~k t q
 
 let join_with ?tau t probes =
-  let tau = Option.value tau ~default:t.tau in
+  let tau = Option.value tau ~default:(Incremental.tau t) in
+  check_tau t tau;
   let cand_timer = Timer.create () in
   let verify_timer = Timer.create () in
   let tally = Verifier.Tally.create () in
@@ -210,12 +133,15 @@ let join_with ?tau t probes =
   let pairs = ref [] in
   Array.iteri
     (fun j q ->
-      let cands = Timer.time cand_timer (fun () -> candidates t ~tau q) in
+      let cands = Timer.time cand_timer (fun () -> Incremental.candidates t ~tau q) in
       let qform = Timer.time verify_timer (fun () -> Verifier.of_tree q) in
       List.iter
         (fun i ->
           incr n_candidates;
-          let d = Timer.time verify_timer (fun () -> Verifier.distance ~tally ~tau qform t.forms.(i)) in
+          let d =
+            Timer.time verify_timer (fun () ->
+                Verifier.distance ~tally ~tau qform (Incremental.form t i))
+          in
           if d <= tau then pairs := { Types.i; j; distance = d } :: !pairs)
         cands)
     probes;
@@ -223,7 +149,7 @@ let join_with ?tau t probes =
   (* The window statistic for a non-self join: probe-indexed pairs within
      the size band. *)
   let window =
-    let sizes_indexed = Array.map Tree.size t.trees in
+    let sizes_indexed = Array.map Tree.size (trees t) in
     Array.fold_left
       (fun acc q ->
         let qs = Tree.size q in
@@ -238,7 +164,7 @@ let join_with ?tau t probes =
     quarantined = [];
     stats =
       {
-        Types.n_trees = Array.length t.trees + Array.length probes;
+        Types.n_trees = n_trees t + Array.length probes;
         tau;
         n_window_pairs = window;
         n_candidates = !n_candidates;

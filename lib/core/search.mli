@@ -7,6 +7,11 @@
     subgraphs stored in per-size two-layer indexes — and query/join
     entry points on top of it.
 
+    The collection is an {!Incremental} index with every tree inserted
+    up front ({!Incremental.insert}: indexed, no self-join at build), so
+    search, the streaming join and the serving store share one band
+    probe and one verifier ({!Verifier}).
+
     The index is built for one threshold [τ] (the partitioning grain
     δ = 2τ + 1 depends on it); queries may use any [τ' <= τ]: Lemma 2
     only gets stronger with fewer allowed edits, and the postorder windows
@@ -30,8 +35,9 @@ val save : t -> string -> unit
 (** Persist the indexed collection to a file: a small header (format
     version, τ) followed by the trees in bracket notation, one per line.
     Interned label ids are process-local, so the index structure itself
-    is not serialized; {!load} re-derives it, which is fast (microseconds
-    per tree) and keeps the format human-readable and stable.
+    is not serialized; {!load} re-derives it, which is fast (tens of
+    microseconds per tree) and keeps the format human-readable and
+    stable.
     Publication is atomic (tmp + rename). *)
 
 val load : string -> (t, string) result
