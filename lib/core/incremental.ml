@@ -116,7 +116,8 @@ let band_candidates t ~tau btree =
   done;
   !pending
 
-let candidates t ~tau q = List.sort compare (band_candidates t ~tau (Binary_tree.of_tree q))
+let candidates t ~tau q =
+  List.sort compare (band_candidates t ~tau (Binary_tree.of_tree q))
 
 let find_equal t q =
   Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]

@@ -64,7 +64,11 @@ let block_size = 32
 
 (* Outcome of verifying one candidate pair: the verifier's verdict, or
    a quarantine reason. *)
-type verdict = { v_dist : int; v_stage : Verifier.stage; v_reason : Types.quarantine_reason option }
+type verdict = {
+  v_dist : int;
+  v_stage : Verifier.stage;
+  v_reason : Types.quarantine_reason option;
+}
 
 let join_with_probe_stats ?(partitioning = Balanced)
     ?(index_mode = Two_layer_index.Two_sided) ?(domains = 1)
@@ -227,7 +231,8 @@ let join_with_probe_stats ?(partitioning = Balanced)
     try
       Fault.hit "partsj.verify" i;
       match Verifier.verify ?metric ~mode ~admit ~tau a b with
-      | Verifier.Decided (dist, stage) -> { v_dist = dist; v_stage = stage; v_reason = None }
+      | Verifier.Decided (dist, stage) ->
+        { v_dist = dist; v_stage = stage; v_reason = None }
       | Verifier.Refused ->
         let lower, upper = Verifier.sandwich a b in
         quarantine (Types.Pair_budget { lower; upper })

@@ -105,7 +105,8 @@ val join :
     future-work point.  [bounded_verify] (default [true]) verifies with
     the τ-banded DP; pass [false] to force the full cubic verifier with
     no prefilter (ablation).  [cascade] (default [true]) runs the staged
-    filter cascade of {!Tsj_ted.Bounds.Compiled} in front of the kernel:
+    filter cascade of {!Tsj_ted.Bounds.Compiled} in front of the kernel
+    — the {!Verifier} every search and serving path shares:
     precompiled lower bounds cheapest-first with short-circuit
     (size → label histogram → degree histogram → banded traversal SED),
     then the greedy-mapping upper bound, which early-accepts a pair whose

@@ -33,7 +33,8 @@ module Tally = struct
   let to_array t = Array.map Atomic.get t
 
   let restore t counts =
-    if Array.length counts <> slots then invalid_arg "Verifier.Tally.restore: wrong length";
+    if Array.length counts <> slots then
+      invalid_arg "Verifier.Tally.restore: wrong length";
     Array.iteri (fun i c -> Atomic.set t.(i) c) counts
 
   let cascade ?(memo_hits = 0) ?(memo_misses = 0) t =
@@ -60,7 +61,8 @@ let always () = true
 let verify ?metric ?(mode = Cascade) ?(admit = always) ~tau a b =
   if tau < 0 then invalid_arg "Verifier.verify: negative threshold";
   let kernel band =
-    if admit () then Decided (Sweep.verify_bounded ?metric ~tau:band a.prep b.prep, Kernel)
+    if admit () then
+      Decided (Sweep.verify_bounded ?metric ~tau:band a.prep b.prep, Kernel)
     else Refused
   in
   match mode with

@@ -48,7 +48,8 @@ module Compiled = struct
     }
 
   let of_tree tree =
-    of_postorders ~tree:(Postorder.of_tree tree) ~mirror:(Postorder.of_tree (Tree.mirror tree))
+    of_postorders ~tree:(Postorder.of_tree tree)
+      ~mirror:(Postorder.of_tree (Tree.mirror tree))
 
   let of_prep prep =
     let tree, mirror = Ted.postorders prep in

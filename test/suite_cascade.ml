@@ -60,7 +60,8 @@ and ref_upper_children xs ys =
   | x :: xs, y :: ys -> ref_upper x y + ref_upper_children xs ys
   | rest, [] | [], rest -> List.fold_left (fun acc t -> acc + Tree.size t) 0 rest
 
-let rec ref_euler (t : Tree.t) = (t.label :: List.concat_map ref_euler t.children) @ [ t.label ]
+let rec ref_euler (t : Tree.t) =
+  (t.label :: List.concat_map ref_euler t.children) @ [ t.label ]
 
 let ref_euler_bound a b =
   (Tsj_ted.String_edit.distance
@@ -93,13 +94,16 @@ let prop_compiled_matches_reference =
 (* The compact form keeps five int arrays of [size] entries: at most 5
    words per node plus headers. *)
 let test_compiled_words_per_node () =
-  let trees = Tsj_datagen.Profiles.instantiate Tsj_datagen.Profiles.swissprot ~seed:7 ~n:50 in
+  let trees =
+    Tsj_datagen.Profiles.instantiate Tsj_datagen.Profiles.swissprot ~seed:7 ~n:50
+  in
   Array.iter
     (fun t ->
       let n = Tree.size t in
       let words = Obj.reachable_words (Obj.repr (Bounds.Compiled.of_tree t)) in
       if words > (5 * n) + 16 then
-        Alcotest.failf "compiled form of a %d-node tree takes %d words (> 5n + 16)" n words)
+        Alcotest.failf "compiled form of a %d-node tree takes %d words (> 5n + 16)" n
+          words)
     trees
 
 (* --- greedy-mapping upper bound --- *)
