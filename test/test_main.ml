@@ -13,7 +13,7 @@ let () =
       ("measures", Suite_measures.suite);
       ("streaming", Suite_streaming.suite);
       ("cascade", Suite_cascade.suite);
-      ("differential", Suite_differential.suite);
+      ("verifier", Suite_differential.suite);
       ("dag", Suite_dag.suite);
       ("parallel", Suite_parallel.suite);
       ("faults", Suite_faults.suite);
