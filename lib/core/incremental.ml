@@ -23,7 +23,7 @@ type t = {
          interns there; the stored tree becomes the shared structural
          view, so repeated subtrees across the stream cost one node and
          the consed preps unlock the verifier's equal-root check, the
-         kernels' equal-subtree fast path and the cross-pair memo
+         kernels' equal-root fast path and the whole-pair result
          cache. *)
   tally : Verifier.Tally.t;  (* how every verified candidate was decided *)
   mutable n_candidates : int;

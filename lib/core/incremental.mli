@@ -24,8 +24,8 @@ val create : ?mode:Two_layer_index.mode -> ?consing:bool -> tau:int -> unit -> t
     store: repeated subtrees across the stream are stored once ({!tree}
     returns the shared structural view), and insert-time verification
     uses DAG-annotated preps — equal trees are answered without running
-    the DP, and the τ-banded kernel shares keyroot subproblems across
-    pairs through {!Tsj_ted.Memo}.  Results are bit-identical with
+    the DP, and the τ-banded kernel reuses the result of a repeated
+    tree pair through {!Tsj_ted.Memo}.  Results are bit-identical with
     consing on or off. *)
 
 val tau : t -> int

@@ -481,14 +481,15 @@ let perf config =
   if not identical then failwith "Experiments.perf: results differ across domain counts";
   if not lossless then failwith "Experiments.perf: cascade changed the join output"
 
-(* DAG compression + cross-pair TED memo on the subtree-repetition-heavy
-   [redundant] profile: before/after memory of the interned collection,
-   before/after verify time of the consed join, and the bit-identity of
-   the output with consing on/off at 1 and [domains] domains. *)
+(* DAG compression + whole-pair TED result cache on the
+   subtree-repetition-heavy [redundant] profile: before/after memory of
+   the interned collection, before/after verify time of the consed join,
+   and the bit-identity of the output with consing on/off at 1 and
+   [domains] domains. *)
 let dag config =
   Table.heading ~out:config.out
-    "DAG compression — hash-consed subtrees + cross-pair TED memo (redundant \
-     profile, tau = 3)";
+    "DAG compression — hash-consed subtrees + whole-pair TED result cache \
+     (redundant profile, tau = 3)";
   let profile = Profiles.redundant in
   let n = cardinality config profile in
   let trees = dataset config profile n in
@@ -520,7 +521,7 @@ let dag config =
   let run ~consing d =
     (* Best of three repetitions, by attributed verify time.  Every
        repetition is a fully cold join — a fresh Dag store mints fresh
-       ids, so the cross-pair memo never carries anything over — and the
+       ids, so the result cache never carries anything over — and the
        heap is levelled first; the repetitions only damp scheduler and
        GC noise, they never warm a cache. *)
     let best = ref None in
@@ -642,7 +643,7 @@ let dag config =
   if not lossless then failwith "Experiments.dag: consing changed the join output";
   if not identical then failwith "Experiments.dag: results differ across domain counts";
   if hits1 = 0 then
-    failwith "Experiments.dag: no memo hits on the redundant profile";
+    failwith "Experiments.dag: no result-cache hits on the redundant profile";
   if config.scale >= 1.0 && memory_ratio < 2.0 then
     failwith
       (Printf.sprintf

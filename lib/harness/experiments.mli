@@ -59,9 +59,9 @@ val dag : config -> unit
     hash-consing the collection (deep-copied baseline vs interned shared
     views), runs the PartSJ join with consing off/on at 1 and
     [config.domains] domains, reports the verify-time change and the
-    cross-pair memo hit rate, and writes [BENCH_dag.json].
+    whole-pair result-cache hit rate, and writes [BENCH_dag.json].
     @raise Failure if consing changes the join output, the output
-    differs across domain counts, the memo never hits, or (at
+    differs across domain counts, the result cache never hits, or (at
     [scale >= 1.0]) interning saves less than 2x memory. *)
 
 val streaming : config -> unit

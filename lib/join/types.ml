@@ -50,8 +50,8 @@ let empty_cascade =
   }
 
 (* The memo counters are not part of the candidate partition: they
-   count keyroot-pair cache lookups inside the kernel, not candidate
-   decisions. *)
+   count whole-pair result-cache lookups inside the kernel, not
+   candidate decisions. *)
 let cascade_total c =
   c.pruned_size + c.pruned_labels + c.pruned_degrees + c.pruned_sed
   + c.early_accepted + c.kernel_verified + c.quarantined

@@ -65,9 +65,9 @@ type cascade = {
           failure, deadline) — counted here so the stage counters still
           partition the candidate set *)
   memo_hits : int;
-      (** keyroot-pair subproblems answered from the cross-pair TED
-          memo cache (consed joins only; 0 with consing off) *)
-  memo_misses : int;  (** memo lookups that ran the DP and cached it *)
+      (** whole tree pairs answered from the TED result cache
+          ({!Tsj_ted.Memo}; consed joins only, 0 with consing off) *)
+  memo_misses : int;  (** result-cache lookups that ran the DP and cached it *)
 }
 (** Per-stage counters of the verification filter cascade.  For every
     join they partition the candidate set:

@@ -1,85 +1,26 @@
-(* Cross-pair memo cache for the bounded TED kernel.
+(* Whole-pair result cache for the bounded TED kernel.
 
-   The Zhang–Shasha DP solves one subproblem per keyroot pair; over a
-   hash-consed collection the same (subtree, subtree) keyroot pairs
-   recur across many candidate pairs, so their solutions can be reused
-   across kernel calls.  What must be reused is not just the root
-   treedist cell: [compute k1 k2] writes the td cells of every left-path
-   pair inside the two subtrees, and later (ancestor) keyroot pairs read
-   them.  An entry therefore stores the exact td *write-set* of one
-   keyroot-pair computation — (row offset, column offset, value) triples
-   relative to the two leftmost leaves — and a hit replays every write
-   (values and stamps), which is bit-identical to running the DP:
-
-   - every value written is the band-clamped distance between the two
-     subtrees rooted at the written cell's nodes, a pure function of
-     (subtree, subtree, clamp) — the td cells the DP reads are inside
-     the two subtrees and are themselves such values by induction over
-     the keyroot order;
-   - whether a cell is written at all depends only on the two subtree
-     sizes and the clamp (the band is relative to the leftmost leaves),
-     so the stamped set is reproduced exactly;
-   - the fd table never leaks between keyroot pairs (written before
-     read within one pair), so it needs no memoization.
-
-   Entries are keyed by (Dag id, Dag id, clamp).  Dag ids are globally
-   unique (one process-wide counter), so a per-domain cache can outlive
-   any single join or collection without ever aliasing.  The cache is
-   bounded both in entries and in total stored words, evicted by a
-   clock (second-chance) sweep; hit/miss/eviction counters are global
-   atomics that [Partsj] snapshots into the join statistics. *)
-
-type entry = {
-  e_id1 : int;
-  e_id2 : int;
-  e_k : int;
-  e_writes : int array; (* flattened (x_off, y_off, value) triples *)
-  mutable e_ref : bool; (* clock reference bit *)
-}
+   The kernel's return value is a pure function of the two trees and the
+   clamp, so on hash-consed inputs a duplicate candidate pair
+   (ubiquitous on redundant collections) can reuse the final clamped
+   distance and skip the whole DP.  Entries are keyed by (Dag root id,
+   Dag root id, clamp).  Dag ids are globally unique (one process-wide
+   counter), so a per-domain cache can outlive any single join or
+   collection without ever aliasing.  Entries are one int each; the
+   table is reset wholesale when the entry bound is hit.  Hit/miss
+   counters are global atomics that [Partsj] snapshots into the join
+   statistics. *)
 
 type t = {
-  tbl : (int * int * int, int) Hashtbl.t; (* key -> slot *)
-  slots : entry option array;
-  mutable free : int list;
-  mutable hand : int;
-  mutable used : int;
-  mutable words : int;
-  max_slots : int;
-  max_words : int;
   results : (int * int * int, int) Hashtbl.t;
-      (* whole-pair cache: (id1, id2, clamp) -> final clamped distance.
-         The kernel's return value is a pure function of the two trees
-         and the clamp, so duplicate candidate pairs (ubiquitous on
-         redundant collections) skip the whole DP, not just its keyroot
-         subproblems.  Entries are one int each; reset wholesale when
-         the entry bound is hit. *)
   max_results : int;
 }
 
-let default_slots = 4096
-
-(* 2M words ≈ 16 MB of cached triples per domain. *)
-let default_words = 1 lsl 21
-
 let default_results = 1 lsl 16
 
-let create ?(slots = default_slots) ?(words = default_words)
-    ?(results = default_results) () =
-  if slots < 1 then invalid_arg "Memo.create: slots must be >= 1";
-  if words < 3 then invalid_arg "Memo.create: words must be >= 3";
+let create ?(results = default_results) () =
   if results < 1 then invalid_arg "Memo.create: results must be >= 1";
-  {
-    tbl = Hashtbl.create (2 * slots);
-    slots = Array.make slots None;
-    free = List.init slots Fun.id;
-    hand = 0;
-    used = 0;
-    words = 0;
-    max_slots = slots;
-    max_words = words;
-    results = Hashtbl.create 1024;
-    max_results = results;
-  }
+  { results = Hashtbl.create 1024; max_results = results }
 
 let key = Domain.DLS.new_key (fun () -> create ())
 
@@ -88,48 +29,6 @@ let get () = Domain.DLS.get key
 let hits = Atomic.make 0
 
 let misses = Atomic.make 0
-
-let evictions = Atomic.make 0
-
-let used t = t.used
-
-let words t = t.words
-
-let find t ~id1 ~id2 ~k =
-  match Hashtbl.find_opt t.tbl (id1, id2, k) with
-  | Some slot ->
-    let e = Option.get t.slots.(slot) in
-    e.e_ref <- true;
-    Atomic.incr hits;
-    Some e.e_writes
-  | None ->
-    Atomic.incr misses;
-    None
-
-(* Advance the clock hand to a victim slot (occupied, reference bit
-   clear), clearing reference bits on the way — terminates within two
-   sweeps.  The freed slot index goes on the free list. *)
-let evict_one t =
-  let rec go () =
-    let i = t.hand in
-    t.hand <- (t.hand + 1) mod t.max_slots;
-    match t.slots.(i) with
-    | None -> go ()
-    | Some e ->
-      if e.e_ref then begin
-        e.e_ref <- false;
-        go ()
-      end
-      else begin
-        Hashtbl.remove t.tbl (e.e_id1, e.e_id2, e.e_k);
-        t.slots.(i) <- None;
-        t.free <- i :: t.free;
-        t.used <- t.used - 1;
-        t.words <- t.words - Array.length e.e_writes;
-        Atomic.incr evictions
-      end
-  in
-  if t.used > 0 then go ()
 
 let find_result t ~id1 ~id2 ~k =
   match Hashtbl.find_opt t.results (id1, id2, k) with
@@ -145,19 +44,3 @@ let add_result t ~id1 ~id2 ~k v =
   Hashtbl.replace t.results (id1, id2, k) v
 
 let results t = Hashtbl.length t.results
-
-let add t ~id1 ~id2 ~k writes =
-  let len = Array.length writes in
-  if len <= t.max_words && not (Hashtbl.mem t.tbl (id1, id2, k)) then begin
-    while t.used >= t.max_slots || t.words + len > t.max_words do
-      evict_one t
-    done;
-    match t.free with
-    | [] -> assert false (* used < max_slots implies a free slot *)
-    | slot :: rest ->
-      t.free <- rest;
-      t.slots.(slot) <- Some { e_id1 = id1; e_id2 = id2; e_k = k; e_writes = writes; e_ref = false };
-      Hashtbl.replace t.tbl (id1, id2, k) slot;
-      t.used <- t.used + 1;
-      t.words <- t.words + len
-  end

@@ -1,7 +1,7 @@
 (* Tests for the hash-consing layer and its consumers: the Dag store
    (structural interning, collision-checked hashing under a truncated
-   hash), the cross-pair TED memo (bounded clock eviction, whole-pair
-   result cache), bit-identity of the PartSJ join with consing on/off
+   hash), the whole-pair TED result cache (bounded table, clamp-keyed
+   kernel lookups), bit-identity of the PartSJ join with consing on/off
    (including under a per-pair budget and across domain counts), the
    serving store's whole-tree dedup against a duplicate-free store, and
    the in-place Arena matrix reshape under shape-alternating kernel
@@ -80,45 +80,7 @@ let prop_collisions_exact =
       done;
       !ok)
 
-(* --- Memo: bounded clock eviction and the result cache --- *)
-
-let test_memo_eviction () =
-  let m = Memo.create ~slots:2 ~words:1000 () in
-  let w id = Array.init 6 (fun i -> id + i) in
-  Memo.add m ~id1:1 ~id2:2 ~k:3 (w 10);
-  Memo.add m ~id1:3 ~id2:4 ~k:3 (w 20);
-  Alcotest.(check int) "both cached" 2 (Memo.used m);
-  (* Reference entry (1,2): the clock's second chance must evict the
-     unreferenced (3,4) instead. *)
-  Alcotest.(check bool) "find marks referenced" true
-    (Memo.find m ~id1:1 ~id2:2 ~k:3 = Some (w 10));
-  Memo.add m ~id1:5 ~id2:6 ~k:3 (w 30);
-  Alcotest.(check int) "still at capacity" 2 (Memo.used m);
-  Alcotest.(check bool) "referenced entry survives" true
-    (Memo.find m ~id1:1 ~id2:2 ~k:3 <> None);
-  Alcotest.(check bool) "unreferenced entry evicted" true
-    (Memo.find m ~id1:3 ~id2:4 ~k:3 = None);
-  Alcotest.(check bool) "new entry cached" true
-    (Memo.find m ~id1:5 ~id2:6 ~k:3 = Some (w 30))
-
-let test_memo_word_bound () =
-  let m = Memo.create ~slots:64 ~words:12 () in
-  Memo.add m ~id1:1 ~id2:2 ~k:1 (Array.make 9 7);
-  Alcotest.(check int) "within word bound" 9 (Memo.words m);
-  (* Oversized write-sets are ignored outright... *)
-  Memo.add m ~id1:3 ~id2:4 ~k:1 (Array.make 15 7);
-  Alcotest.(check bool) "oversized ignored" true
-    (Memo.find m ~id1:3 ~id2:4 ~k:1 = None);
-  (* ...and a fitting one evicts until the total fits again. *)
-  Memo.add m ~id1:5 ~id2:6 ~k:1 (Array.make 6 7);
-  Alcotest.(check bool) "word bound held" true (Memo.words m <= 12);
-  Alcotest.(check bool) "old entry evicted for space" true
-    (Memo.find m ~id1:1 ~id2:2 ~k:1 = None);
-  (* Same key, different clamp: distinct entries. *)
-  Memo.add m ~id1:5 ~id2:6 ~k:2 (Array.make 3 9);
-  Alcotest.(check bool) "clamp is part of the key" true
-    (Memo.find m ~id1:5 ~id2:6 ~k:2 = Some (Array.make 3 9)
-    && Memo.find m ~id1:5 ~id2:6 ~k:1 = Some (Array.make 6 7))
+(* --- Memo: the whole-pair result cache --- *)
 
 let test_memo_result_cache () =
   let m = Memo.create ~results:2 () in
@@ -134,7 +96,32 @@ let test_memo_result_cache () =
   Alcotest.(check int) "reset on overflow" 1 (Memo.results m);
   Alcotest.(check bool) "survivor is the newest" true
     (Memo.find_result m ~id1:5 ~id2:6 ~k:3 = Some 1
-    && Memo.find_result m ~id1:1 ~id2:2 ~k:3 = None)
+    && Memo.find_result m ~id1:1 ~id2:2 ~k:3 = None);
+  (* Kernel level: a consed near-duplicate pair (three relabels, so the
+     clamped answer differs between k = 1 and k = 5) queried at
+     alternating clamps.  The repeats are answered from the cache, and
+     every answer must still be the one for its own clamp. *)
+  let a = Tsj_tree.Bracket.of_string_exn "{a{b{c}{d}}{e{f}{g}}{h}}" in
+  let b = Tsj_tree.Bracket.of_string_exn "{a{x{c}{d}}{e{y}{g}}{z}}" in
+  let dag = Dag.create () in
+  let ca = Ted.preprocess_consed (Ted.cons dag a)
+  and cb = Ted.preprocess_consed (Ted.cons dag b) in
+  let pa = Ted.preprocess a and pb = Ted.preprocess b in
+  let naive k = Ted.bounded_distance_prep ~algorithm:Ted.Naive pa pb k in
+  Alcotest.(check bool) "clamps 1 and 5 disagree on the pair" true
+    (naive 1 <> naive 5);
+  List.iteri
+    (fun i k ->
+      let hits0 = Atomic.get Memo.hits in
+      let d = Ted.bounded_distance_prep ~algorithm:Ted.Hybrid ca cb k in
+      let name what = Printf.sprintf "call %d (k=%d) %s" i k what in
+      Alcotest.(check int) (name "= unconsed prep")
+        (Ted.bounded_distance_prep ~algorithm:Ted.Hybrid pa pb k) d;
+      Alcotest.(check int) (name "= Naive") (naive k) d;
+      if i >= 2 then
+        Alcotest.(check bool) (name "hits the cache") true
+          (Atomic.get Memo.hits > hits0))
+    [ 1; 5; 1; 5 ]
 
 (* --- consing is invisible in the join output --- *)
 
@@ -149,7 +136,8 @@ let arb_forest =
 
 let forest_of_seed seed n max_size =
   let rng = Prng.create seed in
-  (* Salt with duplicates so the fast paths and both memo levels fire. *)
+  (* Salt with duplicates so the equal-root fast path and the result
+     cache fire. *)
   let base = Array.of_list (Gen.random_forest rng ~n ~max_size) in
   Array.init (Array.length base + (n / 2)) (fun i ->
       if i < Array.length base then base.(i)
@@ -293,8 +281,6 @@ let suite =
     Alcotest.test_case "intern basics" `Quick test_intern_basics;
     Alcotest.test_case "hash_bits validation" `Quick test_hash_bits_validation;
     prop_collisions_exact;
-    Alcotest.test_case "memo clock eviction" `Quick test_memo_eviction;
-    Alcotest.test_case "memo word bound" `Quick test_memo_word_bound;
     Alcotest.test_case "memo result cache" `Quick test_memo_result_cache;
     Gen.qtest ~count:20 "join bit-identical with consing on/off" arb_forest
       prop_consing_bit_identical;
