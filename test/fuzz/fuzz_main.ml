@@ -703,11 +703,11 @@ let fuzz_server iterations rng =
    fresh Dag store, and the bounded/unbounded kernels on the consed
    preps — equal-root fast path and whole-pair result cache both
    firing — must return exactly what the unconsed preps return for
-   random pairs and clamps.  Wire half: a live server
-   opened with dedup on is fed duplicate and near-duplicate ADDs; a
-   duplicate ADD must be acked with the original tree's id, a
-   near-duplicate must mint a fresh id, and the STATS dedup counter
-   must track the suppressed count exactly. *)
+   random pairs and clamps.  Wire half: a live server opened with
+   dedup on is fed duplicate and near-duplicate ADDs; a duplicate ADD
+   must be acked with the original tree's id, a near-duplicate must
+   mint a fresh id, and the STATS dedup counter must track the
+   suppressed count exactly. *)
 let fuzz_dag iterations rng =
   let module Protocol = Tsj_server.Protocol in
   let module Server = Tsj_server.Server in
