@@ -47,6 +47,7 @@ let micro () =
     Array.iter (Tsj_core.Two_layer_index.insert idx) subgraphs;
     idx
   in
+  let cursor = Tsj_core.Two_layer_index.cursor btree in
   let tests =
     [
       Test.make ~name:"ted/zhang-shasha (80 vs 80, far)"
@@ -87,7 +88,8 @@ let micro () =
         (Staged.stage (fun () ->
              let hits = ref 0 in
              for v = 0 to btree.Tsj_tree.Binary_tree.size - 1 do
-               Tsj_core.Two_layer_index.probe filled_index btree v (fun _ -> incr hits)
+               Tsj_core.Two_layer_index.probe_cursor filled_index cursor v (fun _ ->
+                   incr hits)
              done;
              !hits));
       Test.make ~name:"partsj/subgraph-match (own tree)"

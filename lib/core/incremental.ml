@@ -2,17 +2,13 @@ module Tree = Tsj_tree.Tree
 module Binary_tree = Tsj_tree.Binary_tree
 module Ted = Tsj_ted.Ted
 
-type size_entry = { index : Two_layer_index.t; mutable small : int list }
-
 type t = {
   tau : int;
-  mode : Two_layer_index.mode;
-  delta : int;
+  band : Band_index.t;
   mutable forms : Verifier.form array;
       (* growable; slot i = tree id i: the stored tree's TED prep and
          compiled bounds, both built once at insert *)
   mutable count : int;
-  entries : (int, size_entry) Hashtbl.t;
   exact : (int, int list) Hashtbl.t;
       (* structural hash -> ids, newest first; collisions are resolved
          by [Tree.equal].  Serves tau = 0 point queries without probing
@@ -30,15 +26,13 @@ type t = {
   mutable n_indexed : int;
 }
 
-let create ?(mode = Two_layer_index.Two_sided) ?(consing = true) ~tau () =
+let create ?mode ?(consing = true) ~tau () =
   if tau < 0 then invalid_arg "Incremental.create: negative threshold";
   {
     tau;
-    mode;
-    delta = (2 * tau) + 1;
+    band = Band_index.create ?mode ~tau ();
     forms = [||];
     count = 0;
-    entries = Hashtbl.create 64;
     exact = Hashtbl.create 64;
     dag = (if consing then Some (Tsj_tree.Dag.create ()) else None);
     tally = Verifier.Tally.create ();
@@ -71,52 +65,25 @@ let grow t form =
     t.forms <- forms
   end
 
-let entry_for t size =
-  match Hashtbl.find_opt t.entries size with
-  | Some e -> e
-  | None ->
-    let e = { index = Two_layer_index.create ~mode:t.mode ~tau:t.tau (); small = [] } in
-    Hashtbl.add t.entries size e;
-    e
-
 (* Candidate ids among the already-inserted trees for a probe of shape
-   [btree], over the [size ± tau] band.  One cursor serves every size in
-   the band (the twig keys depend only on the probed tree); it is built
-   lazily so a probe whose whole band is empty — common in streams with
-   disparate tree sizes — costs only the band scan.  A band entry left
-   with no subgraphs and no small trees is skipped without probing. *)
+   [btree], over the [size ± tau] band, in reverse discovery order.  The
+   cursor is built only if some size in the band has subgraphs, so a
+   probe whose whole band is empty — common in streams with disparate
+   tree sizes — costs only the band scan. *)
 let band_candidates t ~tau btree =
   let size = btree.Binary_tree.size in
-  let cursor = lazy (Two_layer_index.cursor btree) in
-  let checked = Hashtbl.create 16 in
-  let pending = ref [] in
-  for other_size = max 1 (size - tau) to size + tau do
-    match Hashtbl.find_opt t.entries other_size with
-    | None -> ()
-    | Some entry ->
-      List.iter
-        (fun tj ->
-          if not (Hashtbl.mem checked tj) then begin
-            Hashtbl.add checked tj ();
-            pending := tj :: !pending
-          end)
-        entry.small;
-      if Two_layer_index.n_subgraphs entry.index > 0 then begin
-        let cursor = Lazy.force cursor in
-        for v = 0 to size - 1 do
-          Two_layer_index.probe_cursor entry.index cursor v (fun s ->
-              let tj = s.Subgraph.tree_id in
-              if not (Hashtbl.mem checked tj) then
-                if Subgraph.matches s btree v then begin
-                  Hashtbl.add checked tj ();
-                  pending := tj :: !pending
-                end)
-        done
-      end
-  done;
-  !pending
+  let r =
+    Band_index.probe t.band ~lo:(size - tau) ~hi:(size + tau) btree
+      (lazy (Two_layer_index.cursor btree))
+  in
+  List.rev r.Band_index.ids
 
 let candidates t ~tau q =
+  if tau > t.tau then
+    invalid_arg
+      (Printf.sprintf "Incremental.candidates: tau = %d exceeds the index threshold %d"
+         tau t.tau);
+  if tau < 0 then invalid_arg "Incremental.candidates: negative threshold";
   List.sort compare (band_candidates t ~tau (Binary_tree.of_tree q))
 
 let find_equal t q =
@@ -159,20 +126,7 @@ let store t tree =
    Hashtbl.replace t.exact key (id :: ids));
   (id, form, Binary_tree.of_tree tree)
 
-(* Partition tree [id] and index its subgraphs (or keep it whole in the
-   overflow list when it has fewer than δ nodes). *)
-let index t id btree =
-  let size = btree.Binary_tree.size in
-  let entry = entry_for t size in
-  if size < t.delta then entry.small <- id :: entry.small
-  else begin
-    let part = Partition.partition btree ~delta:t.delta in
-    Array.iter
-      (fun s ->
-        Two_layer_index.insert entry.index s;
-        t.n_indexed <- t.n_indexed + 1)
-      (Subgraph.of_partition ~tree_id:id part)
-  end
+let index t id btree = t.n_indexed <- t.n_indexed + Band_index.add t.band ~id btree
 
 let add t tree =
   let id, form, btree = store t tree in

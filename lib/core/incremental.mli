@@ -5,16 +5,19 @@
     high rate" — its index is already built on-the-fly.  This module
     removes the remaining batch assumption (size-ascending processing):
     trees may arrive in {e any} order.  On arrival, a tree probes the
-    per-size indexes over the whole [size ± τ] band (Lemma 2 partitions
-    the {e indexed} tree, so the direction of the size difference is
-    irrelevant), reports its join partners among everything seen so far,
-    and is then partitioned and indexed itself.  Every candidate is
+    per-size {!Band_index} — the same index driver as {!Partsj} — over
+    the whole [size ± τ] band (Lemma 2 partitions the {e indexed} tree,
+    so the direction of the size difference is irrelevant), reports its
+    join partners among everything seen so far, and is then partitioned
+    and indexed itself.  Every candidate is
     decided by the shared {!Verifier} (equal consed roots, the compiled
     bound cascade, then the banded kernel); each stored tree's verifier
     form is built once at insert, each query tree's once per request.
 
     Feeding a whole collection through {!add} yields exactly the self-join
-    result of {!Partsj.join}. *)
+    result of {!Partsj.join}; fed in the join's sweep order (size, then
+    id) it also verifies exactly the join's candidates and indexes the
+    same subgraphs ({!stats}). *)
 
 type t
 
@@ -52,8 +55,11 @@ val form : t -> int -> Verifier.form
 
 val candidates : t -> tau:int -> Tsj_tree.Tree.t -> int list
 (** The ids the subgraph index proposes for a tree over the
-    [size ± tau] band (a superset of the ids within [tau], for any
-    [tau] up to the index threshold), sorted — unverified. *)
+    [size ± tau] band (a superset of the ids within [tau]), sorted —
+    unverified.
+    @raise Invalid_argument if [tau] exceeds the index threshold (the
+    stored δ-partitionings only guarantee completeness up to it) or is
+    negative. *)
 
 val find_equal : t -> Tsj_tree.Tree.t -> int option
 (** The smallest id whose tree is structurally equal to the argument

@@ -23,10 +23,6 @@ type phase_times = {
   domains_used : int;
 }
 
-(* Per-size inverted list: the two-layer index for δ-partitionable trees
-   plus the overflow list of sub-δ trees. *)
-type size_entry = { index : Two_layer_index.t; mutable small : int list }
-
 (* Everything derived from one input tree, built eagerly by the parallel
    preprocessing phase: the TED preparation (both decompositions), the
    LC-RS form probed by the index, its precomputed twig cursor, and the
@@ -38,24 +34,7 @@ type tree_data = {
   d_cursor : Two_layer_index.cursor;
 }
 
-(* The immutable snapshot of one size entry taken between blocks: a
-   read-only view of the index plus the overflow list value (lists are
-   immutable, so capturing it is a true snapshot). *)
-type frozen_entry = { f_index : Two_layer_index.frozen; f_small : int list }
-
-(* Result of probing one tree against the frozen snapshot.  [pending] is
-   in discovery order, which is deterministic: the task itself is a
-   sequential loop, and scheduling only decides which domain runs it. *)
-type probe_result = {
-  pending : int list;
-  probed : int;
-  matched : int;
-  small_hits : int;
-  elapsed_s : float;
-}
-
-let empty_probe_result =
-  { pending = []; probed = 0; matched = 0; small_hits = 0; elapsed_s = 0.0 }
+let no_probe = { Band_index.ids = []; probed = 0; matched = 0; small_hits = 0 }
 
 (* Trees per parallel block.  Fixed — independent of the domain count —
    so the candidate stream, the verification batches and every statistic
@@ -81,7 +60,6 @@ let join_with_probe_stats ?(partitioning = Balanced)
      their counters outlive any single run, so report deltas. *)
   let memo_hits0 = Atomic.get Tsj_ted.Memo.hits in
   let memo_misses0 = Atomic.get Tsj_ted.Memo.misses in
-  let delta = (2 * tau) + 1 in
   let total_t0 = Timer.now () in
   let cand_timer = Timer.create () in
   let cand_attr = ref 0.0 in
@@ -188,15 +166,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
   Array.sort
     (fun a b -> if sizes.(a) <> sizes.(b) then compare sizes.(a) sizes.(b) else compare a b)
     order;
-  let entries : (int, size_entry) Hashtbl.t = Hashtbl.create 64 in
-  let entry_for table mode size =
-    match Hashtbl.find_opt table size with
-    | Some e -> e
-    | None ->
-      let e = { index = Two_layer_index.create ~mode ~tau (); small = [] } in
-      Hashtbl.add table size e;
-      e
-  in
+  let index = Band_index.create ~mode:index_mode ~tau () in
   let n_probed = ref 0 in
   let n_matched = ref 0 in
   let n_small_hits = ref 0 in
@@ -299,51 +269,17 @@ let join_with_probe_stats ?(partitioning = Balanced)
     run_tasks verify_tasks;
     commit ()
   in
-  (* Probe one tree against the frozen snapshot of everything indexed
-     before the current block.  Pure function of immutable data — safe on
-     any domain. *)
-  let probe_frozen_task snapshot ti =
-    let r, dt =
-      Timer.wall (fun () ->
-          let d = data.(ti) in
-          let size_i = sizes.(ti) in
-          let checked : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-          let pending = ref [] in
-          let probed = ref 0 and matched = ref 0 and small_hits = ref 0 in
-          for size_j = max 1 (size_i - tau) to size_i do
-            match Hashtbl.find_opt snapshot size_j with
-            | None -> ()
-            | Some fe ->
-              (* Sub-δ trees in the window are always candidates. *)
-              List.iter
-                (fun tj ->
-                  if not (Hashtbl.mem checked tj) then begin
-                    Hashtbl.add checked tj ();
-                    incr small_hits;
-                    pending := tj :: !pending
-                  end)
-                fe.f_small;
-              for v = 0 to size_i - 1 do
-                Two_layer_index.probe_frozen fe.f_index d.d_cursor v (fun s ->
-                    incr probed;
-                    let tj = s.Subgraph.tree_id in
-                    if not (Hashtbl.mem checked tj) then
-                      if Subgraph.matches s d.d_btree v then begin
-                        incr matched;
-                        Hashtbl.add checked tj ();
-                        pending := tj :: !pending
-                      end)
-              done
-          done;
-          {
-            pending = List.rev !pending;
-            probed = !probed;
-            matched = !matched;
-            small_hits = !small_hits;
-            elapsed_s = 0.0;
-          })
-    in
-    { r with elapsed_s = dt }
+  (* Candidates of tree [ti] among the trees of [idx] up to τ smaller.
+     Only reads [idx], so the probe tasks of a block run on any domain
+     while no tree is being indexed. *)
+  let probe_tree idx ti =
+    Band_index.probe idx ~lo:(sizes.(ti) - tau) ~hi:sizes.(ti) data.(ti).d_btree
+      (Lazy.from_val data.(ti).d_cursor)
+  in
+  let count_probe (r : Band_index.probe) =
+    n_probed := !n_probed + r.probed;
+    n_matched := !n_matched + r.matched;
+    n_small_hits := !n_small_hits + r.small_hits
   in
   let n_blocks = (n + block_size - 1) / block_size in
   (* --- checkpoint/resume --- *)
@@ -450,27 +386,9 @@ let join_with_probe_stats ?(partitioning = Balanced)
        probing, verifying or counting — the journal already holds their
        outputs.  The RNG (random partitioning) is consumed in exactly
        the original order, so the rebuilt index is bit-identical. *)
-    for blk = 0 to start_block - 1 do
-      let b0 = blk * block_size in
-      let b1 = min n (b0 + block_size) in
-      for w = 0 to b1 - b0 - 1 do
-        let ti = order.(b0 + w) in
-        if not (excluded ti) then begin
-          let size_i = sizes.(ti) in
-          let entry = entry_for entries index_mode size_i in
-          if size_i < delta then entry.small <- ti :: entry.small
-          else begin
-            let part =
-              match rng with
-              | None -> Partition.partition data.(ti).d_btree ~delta
-              | Some rng -> Partition.random_partition rng data.(ti).d_btree ~delta
-            in
-            Array.iter
-              (fun s -> Two_layer_index.insert entry.index s)
-              (Subgraph.of_partition ~tree_id:ti part)
-          end
-        end
-      done
+    for b = 0 to min n (start_block * block_size) - 1 do
+      let ti = order.(b) in
+      if not (excluded ti) then ignore (Band_index.add ?rng index ~id:ti data.(ti).d_btree)
     done;
     let blk = ref start_block in
     while !blk < n_blocks && not !aborted do
@@ -485,22 +403,20 @@ let join_with_probe_stats ?(partitioning = Balanced)
         let b0 = !blk * block_size in
         let b1 = min n (b0 + block_size) in
         let width = b1 - b0 in
-        (* Snapshot the per-size entries: O(#sizes), between-block only. *)
-        let snapshot : (int, frozen_entry) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun size e ->
-            Hashtbl.add snapshot size
-              { f_index = Two_layer_index.freeze e.index; f_small = e.small })
-          entries;
         (* Parallel phase: probe every tree of this block against the
-           frozen snapshot, and verify the previous block's candidates. *)
-        let frozen_results = Array.make width empty_probe_result in
+           trees of earlier blocks, and verify the previous block's
+           candidates.  Nothing is indexed until the phase ends. *)
+        let earlier = Array.make width no_probe in
+        let probe_s = Array.make width 0.0 in
         let probe_tasks =
           Array.init width (fun w ->
               fun () ->
                 let ti = order.(b0 + w) in
-                if (not (excluded ti)) && budget_live () then
-                  frozen_results.(w) <- probe_frozen_task snapshot ti)
+                if (not (excluded ti)) && budget_live () then begin
+                  let r, dt = Timer.wall (fun () -> probe_tree index ti) in
+                  earlier.(w) <- r;
+                  probe_s.(w) <- dt
+                end)
         in
         let verify_tasks, commit_batch = flush_batch_tasks () in
         run_tasks (Array.append probe_tasks verify_tasks);
@@ -510,54 +426,22 @@ let join_with_probe_stats ?(partitioning = Balanced)
              so the whole block is treated as unprocessed. *)
           abort_remaining !blk
         else begin
-          Array.iter
-            (fun r ->
-              cand_attr := !cand_attr +. r.elapsed_s;
-              n_probed := !n_probed + r.probed;
-              n_matched := !n_matched + r.matched;
-              n_small_hits := !n_small_hits + r.small_hits)
-            frozen_results;
-          (* Sequential phase: in block order, probe the subgraphs
-             inserted earlier in this block (invisible to the snapshot),
-             emit the tree's candidates, then partition and index it.
+          Array.iter count_probe earlier;
+          Array.iter (fun dt -> cand_attr := !cand_attr +. dt) probe_s;
+          (* Sequential phase: in block order, probe the trees indexed
+             earlier in this block (in the block-local index), emit the
+             tree's candidates, then partition it once into both indexes.
              The random partitioning rng is consumed only here, in tree
              order, so the stream is identical at every domain count. *)
           Timer.start cand_timer;
-          let block_entries : (int, size_entry) Hashtbl.t = Hashtbl.create 8 in
+          let block_index = Band_index.create ~mode:index_mode ~tau () in
           let batch = ref [] in
           for w = 0 to width - 1 do
             let ti = order.(b0 + w) in
             if not (excluded ti) then begin
-              let d = data.(ti) in
-              let size_i = sizes.(ti) in
-              let checked : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-              let local_pending = ref [] in
-              for size_j = max 1 (size_i - tau) to size_i do
-                match Hashtbl.find_opt block_entries size_j with
-                | None -> ()
-                | Some entry ->
-                  List.iter
-                    (fun tj ->
-                      if not (Hashtbl.mem checked tj) then begin
-                        Hashtbl.add checked tj ();
-                        incr n_small_hits;
-                        local_pending := tj :: !local_pending
-                      end)
-                    entry.small;
-                  for v = 0 to size_i - 1 do
-                    Two_layer_index.probe_cursor entry.index d.d_cursor v (fun s ->
-                        incr n_probed;
-                        let tj = s.Subgraph.tree_id in
-                        if not (Hashtbl.mem checked tj) then
-                          if Subgraph.matches s d.d_btree v then begin
-                            incr n_matched;
-                            Hashtbl.add checked tj ();
-                            local_pending := tj :: !local_pending
-                          end)
-                  done
-              done;
-              (* Frozen hits (trees before the block) and local hits
-                 (earlier trees of this block) are disjoint by
+              let local = probe_tree block_index ti in
+              count_probe local;
+              (* Earlier-block hits and in-block hits are disjoint by
                  construction; their concatenation is the exact candidate
                  set of the sequential algorithm, in a deterministic
                  order. *)
@@ -565,31 +449,11 @@ let join_with_probe_stats ?(partitioning = Balanced)
                 incr candidates;
                 batch := (ti, tj) :: !batch
               in
-              List.iter emit frozen_results.(w).pending;
-              List.iter emit (List.rev !local_pending);
-              (* Index the current tree for subsequent iterations: in the
-                 main per-size entry for later blocks, and in the
-                 block-local entry for the remaining trees of this
-                 block. *)
-              let entry = entry_for entries index_mode size_i in
-              let local = entry_for block_entries index_mode size_i in
-              if size_i < delta then begin
-                entry.small <- ti :: entry.small;
-                local.small <- ti :: local.small
-              end
-              else begin
-                let part =
-                  match rng with
-                  | None -> Partition.partition d.d_btree ~delta
-                  | Some rng -> Partition.random_partition rng d.d_btree ~delta
-                in
-                Array.iter
-                  (fun s ->
-                    Two_layer_index.insert entry.index s;
-                    Two_layer_index.insert local.index s;
-                    incr n_indexed)
-                  (Subgraph.of_partition ~tree_id:ti part)
-              end
+              List.iter emit earlier.(w).ids;
+              List.iter emit local.ids;
+              n_indexed :=
+                !n_indexed
+                + Band_index.add ?rng ~also:block_index index ~id:ti data.(ti).d_btree
             end
           done;
           Timer.stop cand_timer;

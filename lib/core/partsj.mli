@@ -20,15 +20,18 @@
     {b Parallel execution.}  With [domains > 1] the join runs its three
     phases on the shared work-stealing pool of {!Tsj_join.Pool}:
     preprocessing compiles every tree in parallel up front; the sweep
-    processes trees in fixed-size blocks, probing each block against a
-    {!Two_layer_index.frozen} read-only snapshot concurrently while the
-    {e previous} block's candidates are verified on the same pool
+    processes trees in fixed-size blocks, probing each tree of a block
+    against the {!Band_index} of the earlier blocks concurrently while
+    the {e previous} block's candidates are verified on the same pool
     (software pipelining), followed by a short sequential phase that
-    probes intra-block pairs and inserts the block's subgraphs.  The
-    block size is a constant, independent of [domains], and every task
-    is a pure function of immutable preprocessed data, so the candidate
-    stream, the result pairs and all statistics are bit-identical at
-    every domain count — parallelism changes only the wall clock.
+    probes intra-block pairs through a block-local {!Band_index} and
+    indexes the block's trees.  No tree is indexed while the probes run,
+    which is the condition under which {!Band_index.probe} may run on
+    several domains.  The block size is a constant, independent of
+    [domains], and every task reads only data that no other task
+    writes, so the candidate stream, the result pairs and all statistics
+    are bit-identical at every domain count — parallelism changes only
+    the wall clock.
 
     {b Resilient execution.}  The join degrades gracefully instead of
     failing or running away:

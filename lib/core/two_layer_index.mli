@@ -1,12 +1,12 @@
 (** The two-layer subgraph index of Section 3.4.
 
     One index instance holds the subgraphs of all already-processed trees
-    of one size [n] (the inverted list [I_n] of Algorithm 1).  Layer 1
-    groups subgraphs by postorder position keys; layer 2 subdivides each
-    group by the label twig key of {!Subgraph.label_key}.  Probing for
-    node [N] of the current tree looks up layer 1 with [N]'s position and
-    layer 2 with the four twig keys compatible with [N] (exact child
-    labels and [ε] wildcards).
+    of one size [n] (the inverted list [I_n] of Algorithm 1; {!Band_index}
+    keeps one per size).  Layer 1 groups subgraphs by postorder position
+    keys; layer 2 subdivides each group by the label twig key of
+    {!Subgraph.label_key}.  Probing for node [N] of the current tree
+    looks up layer 1 with [N]'s position and layer 2 with the four twig
+    keys compatible with [N] (exact child labels and [ε] wildcards).
 
     {b Postorder windows.}  The paper registers subgraph [s_k] (rank [k],
     root postorder [p_k]) under keys [p_k ± (τ - ⌊k/2⌋)].  Our property
@@ -43,15 +43,6 @@ val n_subgraphs : t -> int
 val n_groups : t -> int
 (** Number of non-empty (position, twig) buckets — an index-size metric. *)
 
-val probe : t -> Tsj_tree.Binary_tree.t -> int -> (Subgraph.t -> unit) -> unit
-(** [probe idx target v f] calls [f] on every indexed subgraph whose
-    position group contains [v] (in either coordinate) and whose twig key
-    is compatible with the twig of [target] at [v].  [f] may be called
-    with subgraphs that do not actually match — callers run
-    {!Subgraph.matches} — and may be called twice for a subgraph reachable
-    through both coordinates; in {!Two_sided} mode it never misses a
-    subgraph left untouched by an edit script of length [<= tau]. *)
-
 type cursor
 (** The per-node twig keys of one probed tree, precomputed.  A join
     probes the same tree against one index per admissible size (times two
@@ -63,19 +54,12 @@ val cursor : Tsj_tree.Binary_tree.t -> cursor
     in O(size). *)
 
 val probe_cursor : t -> cursor -> int -> (Subgraph.t -> unit) -> unit
-(** [probe_cursor idx cur v f] — exactly {!probe} on the tree the cursor
-    was built from, reading the precomputed keys. *)
-
-type frozen
-(** A typed read-only view of an index.  Freezing is O(1) and shares
-    structure: probes through the view observe later {!insert}s, but the
-    type guarantees the view itself cannot mutate the index — which makes
-    it safe to probe one frozen view from several domains concurrently,
-    provided no [insert] on the underlying index runs at the same time
-    (the PartSJ block sweep alternates a parallel probe phase against the
-    frozen view with a sequential insertion phase). *)
-
-val freeze : t -> frozen
-
-val probe_frozen : frozen -> cursor -> int -> (Subgraph.t -> unit) -> unit
-(** {!probe_cursor} through a read-only view. *)
+(** [probe_cursor idx cur v f], with [cur] the cursor of tree [target],
+    calls [f] on every indexed subgraph whose position group contains [v]
+    (in either coordinate) and whose twig key is compatible with the twig
+    of [target] at [v].  [f] may be called with subgraphs that do not
+    actually match — callers run {!Subgraph.matches} — and may be called
+    twice for a subgraph reachable through both coordinates; in
+    {!Two_sided} mode it never misses a subgraph left untouched by an
+    edit script of length [<= tau].  Probing only reads the index, so
+    several domains may probe it at once while no {!insert} runs. *)

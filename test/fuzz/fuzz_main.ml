@@ -137,9 +137,11 @@ let fuzz_lemma2 iterations rng =
 let probe_finds mode tau subs b' =
   let idx = Index.create ~mode ~tau () in
   Array.iter (Index.insert idx) subs;
+  let cur = Index.cursor b' in
   let found = ref false in
   for v = 0 to b'.BT.size - 1 do
-    Index.probe idx b' v (fun s -> if (not !found) && Subgraph.matches s b' v then found := true)
+    Index.probe_cursor idx cur v (fun s ->
+        if (not !found) && Subgraph.matches s b' v then found := true)
   done;
   !found
 

@@ -2,7 +2,8 @@
    streaming inserts, the static search index, the serving store and the
    budget-degraded streaming query all decide their candidates through
    the shared verifier, and must agree bit for bit (ids and distances)
-   with the unbanded Naive TED on every pair.  Drawn from every dataset
+   with the unbanded Naive TED on every pair; and the batch and streaming
+   index drivers generate the same candidates.  Drawn from every dataset
    profile, shrunk to small trees so Naive stays cheap, at τ = 1, 2, 3. *)
 
 module Tree = Tsj_tree.Tree
@@ -52,6 +53,25 @@ let check_paths trees naive tau =
   in
   if join <> truth then
     fail "tau=%d: Partsj.join [%s] differs from Naive [%s]" tau (show join) (show truth);
+  (* The two index drivers: a stream fed in the batch sweep order (size,
+     then id) probes exactly the batch join's candidates and indexes the
+     same subgraphs, under every window mode. *)
+  let sweep_order =
+    List.stable_sort
+      (fun a b -> compare (Tree.size trees.(a)) (Tree.size trees.(b)))
+      (List.init n Fun.id)
+  in
+  List.iter
+    (fun index_mode ->
+      let out, probe = Partsj.join_with_probe_stats ~index_mode ~trees ~tau () in
+      let swept = Incremental.create ~mode:index_mode ~tau () in
+      List.iter (fun i -> ignore (Incremental.add swept trees.(i))) sweep_order;
+      let batch = (out.Types.stats.Types.n_candidates, probe.Partsj.n_subgraphs_indexed) in
+      if Incremental.stats swept <> batch then
+        fail "tau=%d: Incremental in sweep order (%d, %d) vs Partsj (%d, %d)" tau
+          (fst (Incremental.stats swept)) (snd (Incremental.stats swept)) (fst batch)
+          (snd batch))
+    Tsj_core.Two_layer_index.[ Two_sided; Paper_rank; Label_only ];
   let inc = Incremental.create ~tau () in
   let folded =
     List.init n (fun j ->

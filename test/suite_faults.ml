@@ -279,6 +279,39 @@ let test_kill_and_resume () =
         (Printf.sprintf "resumed output identical at %d domains" domains)
         true
         (Types.equal_deterministic r.Faults.uninterrupted r.Faults.resumed))
+    [ 1; 4 ];
+  (* Random partitioning: the resume fast-forward re-indexes block 0 and
+     must draw the RNG in the original order, or block 1 on would probe a
+     different index.  τ = 1 (δ = 3) so that block 0 holds partitioned
+     trees: at τ = 2 its 32 trees all have fewer than 5 nodes and draw
+     nothing. *)
+  let join ?checkpoint domains =
+    Partsj.join_with_probe_stats ~partitioning:(Partsj.Random 0xC0FFEE) ~domains
+      ?checkpoint ~trees ~tau:1 ()
+  in
+  List.iter
+    (fun domains ->
+      let path = Faults.fresh_journal () in
+      let out, probe = join domains in
+      let killed =
+        match
+          Fault.with_armed "partsj.block" ~at:1 (fun () ->
+              join ~checkpoint:(Checkpoint.config path) domains)
+        with
+        | _ -> false
+        | exception Fault.Injected _ -> true
+      in
+      let out', probe' = join ~checkpoint:(Checkpoint.config ~resume:true path) domains in
+      Sys.remove path;
+      Alcotest.(check bool) (Printf.sprintf "random: crash fired at %d domains" domains)
+        true killed;
+      Alcotest.(check bool)
+        (Printf.sprintf "random: resumed output identical at %d domains" domains)
+        true
+        (Types.equal_deterministic out out');
+      Alcotest.(check bool)
+        (Printf.sprintf "random: resumed probe stats identical at %d domains" domains)
+        true (probe = probe'))
     [ 1; 4 ]
 
 let test_resume_completed_journal () =

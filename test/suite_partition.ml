@@ -281,9 +281,10 @@ let index_completeness_check (x, ops, x') =
     let p = Partition.partition b ~delta in
     let idx = Two_layer_index.create ~tau () in
     Array.iter (Two_layer_index.insert idx) (Subgraph.of_partition ~tree_id:42 p);
+    let cur = Two_layer_index.cursor b' in
     let found = ref false in
     for v = 0 to b'.Binary_tree.size - 1 do
-      Two_layer_index.probe idx b' v (fun s ->
+      Two_layer_index.probe_cursor idx cur v (fun s ->
           if (not !found) && Subgraph.matches s b' v then found := true)
     done;
     !found
@@ -316,9 +317,10 @@ let test_paper_rank_windows_incomplete () =
   let probe_finds mode =
     let idx = Two_layer_index.create ~mode ~tau () in
     Array.iter (Two_layer_index.insert idx) subs;
+    let cur = Two_layer_index.cursor b' in
     let found = ref false in
     for v = 0 to b'.Binary_tree.size - 1 do
-      Two_layer_index.probe idx b' v (fun s ->
+      Two_layer_index.probe_cursor idx cur v (fun s ->
           if (not !found) && Subgraph.matches s b' v then found := true)
     done;
     !found
@@ -380,9 +382,10 @@ let test_index_exact_duplicate_found () =
   Array.iter (Two_layer_index.insert idx) (Subgraph.of_partition ~tree_id:5 p);
   let probe_matches target =
     let tb = Binary_tree.of_tree target in
+    let cur = Two_layer_index.cursor tb in
     let found = ref false in
     for v = 0 to tb.Binary_tree.size - 1 do
-      Two_layer_index.probe idx tb v (fun s ->
+      Two_layer_index.probe_cursor idx cur v (fun s ->
           if Subgraph.matches s tb v then found := true)
     done;
     !found

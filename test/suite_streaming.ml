@@ -171,7 +171,15 @@ let test_incremental_query_validation () =
       ignore (Incremental.query ~tau:(-1) inc q));
   Alcotest.check_raises "bad domains"
     (Invalid_argument "Incremental.query: domains must be >= 1") (fun () ->
-      ignore (Incremental.query ~domains:0 inc q))
+      ignore (Incremental.query ~domains:0 inc q));
+  (* a band wider than the index threshold would return an incomplete
+     candidate set: the δ-partitioning is only complete up to τ *)
+  Alcotest.check_raises "candidates: tau too big"
+    (Invalid_argument "Incremental.candidates: tau = 3 exceeds the index threshold 1")
+    (fun () -> ignore (Incremental.candidates ~tau:3 inc q));
+  Alcotest.check_raises "candidates: negative tau"
+    (Invalid_argument "Incremental.candidates: negative threshold") (fun () ->
+      ignore (Incremental.candidates ~tau:(-1) inc q))
 
 let test_incremental_query_degraded_sound () =
   (* An already-expired budget forces the fully degraded path: no hit may
