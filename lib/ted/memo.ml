@@ -4,7 +4,9 @@
    clamp, so on hash-consed inputs a duplicate candidate pair
    (ubiquitous on redundant collections) can reuse the final clamped
    distance and skip the whole DP.  Entries are keyed by (Dag root id,
-   Dag root id, clamp).  Dag ids are globally unique (one process-wide
+   Dag root id, clamp); [Ted.bounded_distance_prep] is the only caller,
+   and it keys by the trees' own root ids whichever decomposition
+   (tree or mirror) the kernel runs on.  Dag ids are globally unique (one process-wide
    counter), so a per-domain cache can outlive any single join or
    collection without ever aliasing.  Entries are one int each; the
    table is reset wholesale when the entry bound is hit.  Hit/miss

@@ -11,88 +11,92 @@ type prep = {
   right_po : Postorder.t; (* postorder form of the mirrored tree *)
   left_cost : int;        (* keyroot cost of the left decomposition *)
   right_cost : int;
+  root : int;             (* Dag id of the interned tree; -1 if unconsed *)
 }
 
-(* An interned tree plus its interned mirror.  Mirroring both trees of
-   a pair is a bijection on edit scripts, so the right-path
-   decomposition is just the kernel run on the mirrors — which
-   therefore need DAG ids of their own, from the same store. *)
-type consed = { c_node : Dag.node; c_mirror : Dag.node }
+type consed = Dag.node
 
-let cons dag tree =
-  let node = Dag.intern dag tree in
-  { c_node = node; c_mirror = Dag.intern dag (Tree.mirror (Dag.tree node)) }
+let cons dag tree = Dag.intern dag tree
 
-let consed_tree c = Dag.tree c.c_node
+let consed_tree = Dag.tree
 
-let preprocess_consed c =
-  let left_po = Postorder.of_dag c.c_node in
-  let right_po = Postorder.of_dag c.c_mirror in
+let of_tree ~root tree =
+  let left_po = Postorder.of_tree tree in
+  let right_po = Postorder.of_tree (Tree.mirror tree) in
   {
-    (* The shared view: structurally equal trees of one store are
-       physically equal, which is what the collection-level dedup and
-       the [Constrained] fast path key on. *)
-    tree = Dag.tree c.c_node;
+    tree;
     size = left_po.size;
     left_po;
     right_po;
     left_cost = Postorder.keyroot_cost left_po;
     right_cost = Postorder.keyroot_cost right_po;
+    root;
   }
 
-let preprocess ?dag tree =
-  match dag with
-  | Some d -> preprocess_consed (cons d tree)
-  | None ->
-    let left_po = Postorder.of_tree tree in
-    let right_po = Postorder.of_tree (Tree.mirror tree) in
-    {
-      tree;
-      size = left_po.size;
-      left_po;
-      right_po;
-      left_cost = Postorder.keyroot_cost left_po;
-      right_cost = Postorder.keyroot_cost right_po;
-    }
+(* The shared view: structurally equal trees of one store are
+   physically equal, which is what the collection-level dedup and the
+   [Constrained] fast path key on. *)
+let preprocess_consed c = of_tree ~root:(Dag.id c) (Dag.tree c)
+
+let preprocess tree = of_tree ~root:(-1) tree
 
 let tree p = p.tree
 
 let postorders p = (p.left_po, p.right_po)
 
-let equal_consed p1 p2 =
-  let a = p1.left_po and b = p2.left_po in
-  a.size > 0
-  && Array.length a.dag = a.size
-  && Array.length b.dag = b.size
-  && a.dag.(a.size - 1) = b.dag.(b.size - 1)
+let equal_consed p1 p2 = p1.root >= 0 && p1.root = p2.root
 
 let size p = p.size
 
+(* The decomposition the kernel runs on.  Mirroring both trees is a
+   bijection on edit scripts, so both yield the same distance; [Hybrid]
+   picks the one with fewer relevant subproblems. *)
+let kernel_input algorithm p1 p2 =
+  let right =
+    match algorithm with
+    | Zs_right -> true
+    | Hybrid -> p1.left_cost * p2.left_cost > p1.right_cost * p2.right_cost
+    | Zs_left | Naive -> false
+  in
+  if right then (p1.right_po, p2.right_po) else (p1.left_po, p2.left_po)
+
+(* Equal root ids mean identical interned trees: distance 0 without any
+   DP.  Dag ids are globally unique, so this holds across stores. *)
 let distance_prep ?(algorithm = Hybrid) p1 p2 =
   match algorithm with
-  | Zs_left -> Zhang_shasha.distance_postorder p1.left_po p2.left_po
-  | Zs_right -> Zhang_shasha.distance_postorder p1.right_po p2.right_po
   | Naive -> Naive.distance p1.tree p2.tree
-  | Hybrid ->
-    (* Mirroring both trees is a bijection on edit scripts, so both
-       decompositions yield the same distance; run the one with fewer
-       relevant subproblems. *)
-    if p1.left_cost * p2.left_cost <= p1.right_cost * p2.right_cost then
-      Zhang_shasha.distance_postorder p1.left_po p2.left_po
-    else Zhang_shasha.distance_postorder p1.right_po p2.right_po
+  | Zs_left | Zs_right | Hybrid ->
+    if equal_consed p1 p2 then 0
+    else
+      let a, b = kernel_input algorithm p1 p2 in
+      Zhang_shasha.distance_postorder a b
 
 let distance ?algorithm t1 t2 =
   distance_prep ?algorithm (preprocess t1) (preprocess t2)
 
 let bounded_distance_prep ?(algorithm = Hybrid) p1 p2 k =
   match algorithm with
-  | Zs_left -> Zhang_shasha.bounded_distance_postorder p1.left_po p2.left_po k
-  | Zs_right -> Zhang_shasha.bounded_distance_postorder p1.right_po p2.right_po k
   | Naive -> min (Naive.distance p1.tree p2.tree) (k + 1)
-  | Hybrid ->
-    if p1.left_cost * p2.left_cost <= p1.right_cost * p2.right_cost then
-      Zhang_shasha.bounded_distance_postorder p1.left_po p2.left_po k
-    else Zhang_shasha.bounded_distance_postorder p1.right_po p2.right_po k
+  | Zs_left | Zs_right | Hybrid ->
+    let kernel () =
+      let a, b = kernel_input algorithm p1 p2 in
+      Zhang_shasha.bounded_distance_postorder a b k
+    in
+    if k < 0 || abs (p1.size - p2.size) > k || p1.root < 0 || p2.root < 0 then kernel ()
+    else if p1.root = p2.root then 0
+    else begin
+      (* Whole-pair shortcut: the clamped result is a pure function of
+         (tree, tree, clamp), whichever decomposition computes it, so
+         duplicate candidate pairs — ubiquitous when the collection
+         repeats trees — reuse the final value and skip the DP. *)
+      let memo = Memo.get () in
+      match Memo.find_result memo ~id1:p1.root ~id2:p2.root ~k with
+      | Some v -> v
+      | None ->
+        let v = kernel () in
+        Memo.add_result memo ~id1:p1.root ~id2:p2.root ~k v;
+        v
+    end
 
 let within ?algorithm p1 p2 tau =
   if tau < 0 then false

@@ -20,13 +20,13 @@ type prep
     Joins preprocess every tree once and verify pairs with
     {!distance_prep}. *)
 
-val preprocess : ?dag:Tsj_tree.Dag.t -> Tsj_tree.Tree.t -> prep
-(** With [dag], equivalent to [preprocess_consed (cons dag tree)] —
-    only safe where {!cons} is (single-domain interning). *)
+val preprocess : Tsj_tree.Tree.t -> prep
+(** An unconsed prep: no root id, so none of the O(1) shortcuts below
+    apply. *)
 
 type consed
-(** A tree (and its mirror) interned into a {!Tsj_tree.Dag} store:
-    the sequential half of consed preprocessing. *)
+(** A tree interned into a {!Tsj_tree.Dag} store: the sequential half of
+    consed preprocessing. *)
 
 val cons : Tsj_tree.Dag.t -> Tsj_tree.Tree.t -> consed
 (** Interning mutates the store — call from one domain at a time (joins
@@ -38,9 +38,10 @@ val consed_tree : consed -> Tsj_tree.Tree.t
 
 val preprocess_consed : consed -> prep
 (** Pure (no store mutation), so safe to run in parallel across trees.
-    The resulting prep carries DAG ids in its postorders, enabling the
-    equal-root fast path and the whole-pair result cache ({!Memo}) in
-    the kernels, and its {!tree} is the shared view of {!consed_tree}. *)
+    The resulting prep carries the tree's root DAG id, which enables the
+    equal-root fast path and the whole-pair result cache ({!Memo}) of
+    {!distance_prep} and {!bounded_distance_prep}, and its {!tree} is the
+    shared view of {!consed_tree}. *)
 
 val tree : prep -> Tsj_tree.Tree.t
 
@@ -58,12 +59,17 @@ val equal_consed : prep -> prep -> bool
 val distance : ?algorithm:algorithm -> Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
 
 val distance_prep : ?algorithm:algorithm -> prep -> prep -> int
+(** Exact TED; 0 without any DP when {!equal_consed} holds (except under
+    {!Naive}, which always runs the reference recursion). *)
 
 val bounded_distance_prep : ?algorithm:algorithm -> prep -> prep -> int -> int
 (** [bounded_distance_prep p1 p2 k] is [min (TED, k + 1)] through the
     τ-banded DP (see {!Zhang_shasha.bounded_distance_postorder}) under the
     chosen decomposition; the {!Naive} algorithm computes fully and
-    clamps.  @raise Invalid_argument if [k < 0]. *)
+    clamps.  For two consed preps within [k] in size, equal roots answer
+    0 and any other pair goes through the whole-pair result cache
+    ({!Memo}, keyed by the two root ids and [k]) before the DP runs.
+    @raise Invalid_argument if [k < 0]. *)
 
 val within : ?algorithm:algorithm -> prep -> prep -> int -> bool
 (** [within p1 p2 tau]: is [TED <= tau]?  Uses the banded verifier. *)

@@ -33,19 +33,9 @@ module Postorder = Tsj_tree.Postorder
    in these loops, and the bounds checks were a measurable fraction of
    the per-cell cost. *)
 
-(* Are both postorders DAG-annotated (built by [Postorder.of_dag])?
-   Only then do the equal-root fast path and the whole-pair result
-   cache ({!Memo}) apply: Dag ids are globally unique, so equal ids
-   mean equal subtrees even across collections. *)
-let consed (p1 : Postorder.t) (p2 : Postorder.t) =
-  Array.length p1.dag = p1.size && Array.length p2.dag = p2.size
-
 let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
   let n1 = p1.size and n2 = p2.size in
   if n1 = 0 || n2 = 0 then max n1 n2
-  else if consed p1 p2 && p1.dag.(n1 - 1) = p2.dag.(n2 - 1) then
-    (* Identical interned trees: distance 0 without any DP. *)
-    0
   else begin
     let s = Arena.get () in
     Arena.reserve_matrices s n1 n2;
@@ -213,26 +203,7 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
   let n1 = p1.size and n2 = p2.size in
   if abs (n1 - n2) > k then k + 1
   else if n1 = 0 || n2 = 0 then min (max n1 n2) (k + 1)
-  else if not (consed p1 p2) then banded_dp p1 p2 k
-  else begin
-    let id1 = p1.dag.(n1 - 1) and id2 = p2.dag.(n2 - 1) in
-    if id1 = id2 then
-      (* Identical interned trees: distance 0 without any DP. *)
-      0
-    else begin
-      (* Whole-pair shortcut: the clamped result is a pure function of
-         (tree, tree, clamp), so duplicate candidate pairs — ubiquitous
-         when the collection repeats trees — reuse the final value and
-         skip the DP entirely. *)
-      let memo = Memo.get () in
-      match Memo.find_result memo ~id1 ~id2 ~k with
-      | Some v -> v
-      | None ->
-        let v = banded_dp p1 p2 k in
-        Memo.add_result memo ~id1 ~id2 ~k v;
-        v
-    end
-  end
+  else banded_dp p1 p2 k
 
 let distance t1 t2 =
   distance_postorder (Postorder.of_tree t1) (Postorder.of_tree t2)

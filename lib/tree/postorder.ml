@@ -3,7 +3,6 @@ type t = {
   labels : int array;
   lld : int array;
   keyroots : int array;
-  dag : int array;
 }
 
 (* A node is an LR-keyroot iff no proper ancestor shares its lld; i.e. it
@@ -36,35 +35,7 @@ let of_tree tree =
     (me, my_lld)
   in
   ignore (go tree);
-  { size = n; labels; lld; keyroots = keyroots_of n lld parent; dag = [||] }
-
-let of_dag (root : Dag.node) =
-  let n = Dag.size root in
-  let labels = Array.make n 0 in
-  let lld = Array.make n 0 in
-  let parent = Array.make n (-1) in
-  let dag = Array.make n 0 in
-  let counter = ref 0 in
-  let rec go (node : Dag.node) =
-    let k = Array.length node.Dag.children in
-    let first_lld = ref (-1) in
-    let child_ids = Array.make k 0 in
-    for c = 0 to k - 1 do
-      let cid, clld = go node.Dag.children.(c) in
-      child_ids.(c) <- cid;
-      if c = 0 then first_lld := clld
-    done;
-    let me = !counter in
-    incr counter;
-    labels.(me) <- node.Dag.label;
-    dag.(me) <- node.Dag.id;
-    Array.iter (fun c -> parent.(c) <- me) child_ids;
-    let my_lld = if k = 0 then me else !first_lld in
-    lld.(me) <- my_lld;
-    (me, my_lld)
-  in
-  ignore (go root);
-  { size = n; labels; lld; keyroots = keyroots_of n lld parent; dag }
+  { size = n; labels; lld; keyroots = keyroots_of n lld parent }
 
 let n_leaves t =
   let count = ref 0 in

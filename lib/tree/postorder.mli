@@ -10,19 +10,9 @@ type t = {
   labels : int array;    (** [labels.(i)]: label of postorder node [i] *)
   lld : int array;       (** leftmost leaf descendant of node [i] *)
   keyroots : int array;  (** LR-keyroots in ascending order *)
-  dag : int array;       (** [dag.(i)]: {!Dag} node id of the subtree rooted
-                             at postorder node [i]; [[||]] when built by
-                             {!of_tree} (unconsed) *)
 }
 
 val of_tree : Tree.t -> t
-(** Array form without DAG annotations ([dag = [||]]). *)
-
-val of_dag : Dag.node -> t
-(** Array form of an interned tree: identical to [of_tree (Dag.tree n)]
-    except that [dag] carries the subtree node ids, which unlock the
-    equal-root fast path and the whole-pair result cache in the TED
-    kernels. *)
 
 val n_leaves : t -> int
 

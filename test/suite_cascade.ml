@@ -78,7 +78,8 @@ let prop_compiled_matches_reference =
         [
           ("of_tree", Bounds.Compiled.of_tree t);
           ("of_prep", Bounds.Compiled.of_prep (Tsj_ted.Ted.preprocess t));
-          ("of_prep consed", Bounds.Compiled.of_prep (Tsj_ted.Ted.preprocess ~dag t));
+          ( "of_prep consed",
+            Bounds.Compiled.of_prep (Tsj_ted.Ted.preprocess_consed (Tsj_ted.Ted.cons dag t)) );
         ]
       in
       let up = ref_upper a b and eu = ref_euler_bound a b in
