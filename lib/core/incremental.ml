@@ -13,20 +13,19 @@ type t = {
       (* structural hash -> ids, newest first; collisions are resolved
          by [Tree.equal].  Serves tau = 0 point queries without probing
          or TED: distance 0 is exactly structural equality. *)
-  dag : Tsj_tree.Dag.t option;
-      (* hash-consing store shared by every inserted tree.  [add] (the
-         only mutator, and like every index mutation single-writer)
-         interns there; the stored tree becomes the shared structural
-         view, so repeated subtrees across the stream cost one node and
-         the consed preps unlock the verifier's equal-root check, the
-         kernels' equal-root fast path and the whole-pair result
-         cache. *)
+  dag : Tsj_tree.Dag.t;
+      (* hash-consing store shared by every inserted tree.  [add] and
+         [insert] (the only mutators, and like every index mutation
+         single-writer) intern there; the stored tree becomes the shared
+         structural view, so repeated subtrees across the stream cost
+         one node, and the consed preps' root ids unlock the equal-root
+         checks and the whole-pair result cache. *)
   tally : Verifier.Tally.t;  (* how every verified candidate was decided *)
   mutable n_candidates : int;
   mutable n_indexed : int;
 }
 
-let create ?mode ?(consing = true) ~tau () =
+let create ?mode ~tau () =
   if tau < 0 then invalid_arg "Incremental.create: negative threshold";
   {
     tau;
@@ -34,7 +33,7 @@ let create ?mode ?(consing = true) ~tau () =
     forms = [||];
     count = 0;
     exact = Hashtbl.create 64;
-    dag = (if consing then Some (Tsj_tree.Dag.create ()) else None);
+    dag = Tsj_tree.Dag.create ();
     tally = Verifier.Tally.create ();
     n_candidates = 0;
     n_indexed = 0;
@@ -101,20 +100,17 @@ let form t id =
 
 (* Store [tree] under the next id: intern it first so the stored slot
    is the shared structural view (a duplicate of an earlier tree is then
-   physically equal to it) and the consed prep carries DAG ids for the
-   verifier and the kernels.  Consing is an optimisation — if it raises
+   physically equal to it) and the consed prep carries its root DAG id
+   for the verifier and [Ted].  Consing is an optimisation — if it raises
    on a pathological shape, fall back to an unconsed prep of the tree as
    given.  Returns the id, the stored form and the LC-RS form to probe
    and partition. *)
 let store t tree =
   let id = t.count in
   let prep =
-    match t.dag with
-    | None -> Ted.preprocess tree
-    | Some dag -> (
-      match Ted.cons dag tree with
-      | c -> Ted.preprocess_consed c
-      | exception _ -> Ted.preprocess tree)
+    match Ted.cons t.dag tree with
+    | c -> Ted.preprocess_consed c
+    | exception _ -> Ted.preprocess tree
   in
   let form = Verifier.of_prep prep in
   let tree = Verifier.tree form in

@@ -21,15 +21,14 @@
 
 type t
 
-val create : ?mode:Two_layer_index.mode -> ?consing:bool -> tau:int -> unit -> t
-(** @raise Invalid_argument if [tau < 0].  [consing] (default [true])
-    hash-conses every inserted tree into a per-index {!Tsj_tree.Dag}
-    store: repeated subtrees across the stream are stored once ({!tree}
-    returns the shared structural view), and insert-time verification
-    uses DAG-annotated preps — equal trees are answered without running
-    the DP, and the τ-banded kernel reuses the result of a repeated
-    tree pair through {!Tsj_ted.Memo}.  Results are bit-identical with
-    consing on or off. *)
+val create : ?mode:Two_layer_index.mode -> tau:int -> unit -> t
+(** @raise Invalid_argument if [tau < 0].  Every inserted tree is
+    hash-consed into a per-index {!Tsj_tree.Dag} store: repeated
+    subtrees across the stream are stored once ({!tree} returns the
+    shared structural view), and verification uses consed preps —
+    equal trees are answered without running the DP, and the τ-banded
+    kernel reuses the result of a repeated tree pair through
+    {!Tsj_ted.Memo}. *)
 
 val tau : t -> int
 

@@ -51,7 +51,7 @@ type verdict = {
 
 let join_with_probe_stats ?(partitioning = Balanced)
     ?(index_mode = Two_layer_index.Two_sided) ?(domains = 1)
-    ?(bounded_verify = true) ?(cascade = true) ?(consing = true) ?metric ?budget
+    ?(bounded_verify = true) ?(cascade = true) ?metric ?budget
     ?checkpoint ?on_phases ~trees ~tau () =
   if tau < 0 then invalid_arg "Partsj.join: negative threshold";
   if domains < 1 then invalid_arg "Partsj.join: domains must be >= 1";
@@ -113,14 +113,12 @@ let join_with_probe_stats ?(partitioning = Balanced)
   let consed_slots : Ted.consed option array = Array.make (max n 1) None in
   let (), cons_wall =
     Timer.wall (fun () ->
-        if consing then begin
-          let dag = Tsj_tree.Dag.create () in
-          for i = 0 to n - 1 do
-            match Ted.cons dag trees.(i) with
-            | c -> consed_slots.(i) <- Some c
-            | exception _ -> ()
-          done
-        end)
+        let dag = Tsj_tree.Dag.create () in
+        for i = 0 to n - 1 do
+          match Ted.cons dag trees.(i) with
+          | c -> consed_slots.(i) <- Some c
+          | exception _ -> ()
+        done)
   in
   let data, prep_wall =
     Timer.wall (fun () ->
@@ -289,7 +287,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     | Some _ ->
       let params =
         Printf.sprintf
-          "v2|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b|cons=%b"
+          "v3|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b"
           block_size
           (match partitioning with
           | Balanced -> "balanced"
@@ -301,7 +299,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
           (match metric with
           | None | Some Tsj_join.Sweep.Ted -> "ted"
           | Some Tsj_join.Sweep.Constrained -> "constrained")
-          bounded_verify cascade consing
+          bounded_verify cascade
       in
       Checkpoint.fingerprint ~tau ~params trees
   in
@@ -523,8 +521,8 @@ let join_with_probe_stats ?(partitioning = Balanced)
       n_subgraphs_indexed = !n_indexed;
     } )
 
-let join ?partitioning ?index_mode ?domains ?bounded_verify ?cascade ?consing ?metric
-    ?budget ?checkpoint ?on_phases ~trees ~tau () =
+let join ?partitioning ?index_mode ?domains ?bounded_verify ?cascade ?metric ?budget
+    ?checkpoint ?on_phases ~trees ~tau () =
   fst
     (join_with_probe_stats ?partitioning ?index_mode ?domains ?bounded_verify ?cascade
-       ?consing ?metric ?budget ?checkpoint ?on_phases ~trees ~tau ())
+       ?metric ?budget ?checkpoint ?on_phases ~trees ~tau ())

@@ -483,9 +483,9 @@ let perf config =
 
 (* DAG compression + whole-pair TED result cache on the
    subtree-repetition-heavy [redundant] profile: before/after memory of
-   the interned collection, before/after verify time of the consed join,
-   and the bit-identity of the output with consing on/off at 1 and
-   [domains] domains. *)
+   the interned collection, the result-cache traffic of the consed
+   join, and the bit-identity of its output at 1 and [domains]
+   domains. *)
 let dag config =
   Table.heading ~out:config.out
     "DAG compression — hash-consed subtrees + whole-pair TED result cache \
@@ -518,7 +518,7 @@ let dag config =
   printf config
     "  resident set: %d words unshared -> %d words interned (%.2fx smaller)\n"
     words_unshared words_shared memory_ratio;
-  let run ~consing d =
+  let run d =
     (* Best of three repetitions, by attributed verify time.  Every
        repetition is a fully cold join — a fresh Dag store mints fresh
        ids, so the result cache never carries anything over — and the
@@ -528,8 +528,7 @@ let dag config =
     for _ = 1 to 3 do
       Gc.compact ();
       let output, wall =
-        Tsj_util.Timer.wall (fun () ->
-            Tsj_core.Partsj.join ~domains:d ~consing ~trees ~tau ())
+        Tsj_util.Timer.wall (fun () -> Tsj_core.Partsj.join ~domains:d ~trees ~tau ())
       in
       match !best with
       | Some ((prev : Types.output), _)
@@ -539,14 +538,13 @@ let dag config =
     done;
     Option.get !best
   in
-  let o_off, w_off = run ~consing:false 1 in
-  let o_on, w_on = run ~consing:true 1 in
-  let o_onN, w_onN = run ~consing:true domains in
+  let o1, w1 = run 1 in
+  let oN, wN = run domains in
   let memo (o : Types.output) =
     let c = o.Types.stats.Types.cascade in
     (c.Types.memo_hits, c.Types.memo_misses)
   in
-  let hits1, misses1 = memo o_on in
+  let hits1, misses1 = memo o1 in
   let hit_rate =
     if hits1 + misses1 = 0 then 0.0
     else float_of_int hits1 /. float_of_int (hits1 + misses1)
@@ -569,34 +567,20 @@ let dag config =
       [ "run"; "verify (attr)"; "total (wall)"; "candidates"; "results";
         "memo hits"; "memo misses" ]
     ~align:[ Table.Left; Right; Right; Right; Right; Right; Right ]
-    [
-      row "consing off, 1 dom" o_off w_off;
-      row "consing on, 1 dom" o_on w_on;
-      row (Printf.sprintf "consing on, %d dom" domains) o_onN w_onN;
-    ];
-  let lossless = Types.equal_deterministic o_off o_on in
-  let identical = Types.equal_deterministic o_on o_onN in
-  let verify_speedup =
-    o_off.Types.stats.Types.verify_time_s /. o_on.Types.stats.Types.verify_time_s
-  in
-  printf config "  verify speedup (consing off -> on, 1 domain): %.2fx\n"
-    verify_speedup;
+    [ row "1 dom" o1 w1; row (Printf.sprintf "%d dom" domains) oN wN ];
+  let identical = Types.equal_deterministic o1 oN in
   printf config "  memo hit rate (1 domain): %.1f%% (%d hits, %d misses)\n"
     (100.0 *. hit_rate) hits1 misses1;
-  printf config "  consing losslessness (off vs on): %s\n"
-    (if lossless then "identical pairs, distances, quarantine and counters"
-     else "MISMATCH — consing changed the join output!");
   printf config "  determinism (domains=1 vs domains=%d): %s\n" domains
     (if identical then "identical output"
      else "MISMATCH — results differ across domain counts!");
-  let json_run label ~consing d (o : Types.output) wall =
+  let json_run label d (o : Types.output) wall =
     let s = o.Types.stats in
     let h, m = memo o in
     Printf.sprintf
       "    {\n\
       \      \"label\": \"%s\",\n\
       \      \"domains\": %d,\n\
-      \      \"consing\": %b,\n\
       \      \"total_wall_s\": %.6f,\n\
       \      \"candidate_time_s\": %.6f,\n\
       \      \"verify_time_s\": %.6f,\n\
@@ -605,7 +589,7 @@ let dag config =
       \      \"memo_hits\": %d,\n\
       \      \"memo_misses\": %d\n\
       \    }"
-      label d consing wall s.Types.candidate_time_s s.Types.verify_time_s
+      label d wall s.Types.candidate_time_s s.Types.verify_time_s
       s.Types.n_candidates s.Types.n_results h m
   in
   let oc = open_out "BENCH_dag.json" in
@@ -622,25 +606,19 @@ let dag config =
     \  \"words_unshared\": %d,\n\
     \  \"words_interned\": %d,\n\
     \  \"memory_ratio\": %.4f,\n\
-    \  \"verify_speedup_consing\": %.4f,\n\
     \  \"memo_hit_rate\": %.4f,\n\
-    \  \"consing_lossless\": %b,\n\
     \  \"identical_across_domains\": %b,\n\
-    \  \"runs\": [\n%s,\n%s,\n%s\n  ]\n\
+    \  \"runs\": [\n%s,\n%s\n  ]\n\
      }\n"
     profile.Profiles.name n tau config.seed
     (Tsj_tree.Dag.interned store)
     (Tsj_tree.Dag.n_nodes store)
     (Tsj_tree.Dag.sharing store)
-    words_unshared words_shared memory_ratio verify_speedup hit_rate lossless
-    identical
-    (json_run "consing_off" ~consing:false 1 o_off w_off)
-    (json_run "consing_on" ~consing:true 1 o_on w_on)
-    (json_run "consing_on_parallel" ~consing:true domains o_onN w_onN)
-    ;
+    words_unshared words_shared memory_ratio hit_rate identical
+    (json_run "one_domain" 1 o1 w1)
+    (json_run "parallel" domains oN wN);
   close_out oc;
   printf config "  wrote BENCH_dag.json\n";
-  if not lossless then failwith "Experiments.dag: consing changed the join output";
   if not identical then failwith "Experiments.dag: results differ across domain counts";
   if hits1 = 0 then
     failwith "Experiments.dag: no result-cache hits on the redundant profile";

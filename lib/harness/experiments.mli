@@ -57,11 +57,11 @@ val dag : config -> unit
 (** DAG-compression benchmark on the subtree-repetition-heavy
     [redundant] profile at τ = 3: measures the resident-set reduction of
     hash-consing the collection (deep-copied baseline vs interned shared
-    views), runs the PartSJ join with consing off/on at 1 and
-    [config.domains] domains, reports the verify-time change and the
-    whole-pair result-cache hit rate, and writes [BENCH_dag.json].
-    @raise Failure if consing changes the join output, the output
-    differs across domain counts, the result cache never hits, or (at
+    views), runs the PartSJ join at 1 and [config.domains] domains,
+    reports the verify time and the whole-pair result-cache hit rate,
+    and writes [BENCH_dag.json].
+    @raise Failure if the output differs across domain counts, the
+    result cache never hits, or (at
     [scale >= 1.0]) interning saves less than 2x memory. *)
 
 val streaming : config -> unit

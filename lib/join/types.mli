@@ -66,7 +66,7 @@ type cascade = {
           partition the candidate set *)
   memo_hits : int;
       (** whole tree pairs answered from the TED result cache
-          ({!Tsj_ted.Memo}; consed joins only, 0 with consing off) *)
+          ({!Tsj_ted.Memo}; consed preps only, so 0 for the baselines) *)
   memo_misses : int;  (** result-cache lookups that ran the DP and cached it *)
 }
 (** Per-stage counters of the verification filter cascade.  For every

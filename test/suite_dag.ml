@@ -1,9 +1,10 @@
 (* Tests for the hash-consing layer and its consumers: the Dag store
    (structural interning, collision-checked hashing under a truncated
    hash), the whole-pair TED result cache (bounded table, clamp-keyed
-   kernel lookups), bit-identity of the PartSJ join with consing on/off
-   (including under a per-pair budget and across domain counts), the
-   serving store's whole-tree dedup against a duplicate-free store, and
+   lookups, consed = unconsed preps under every decomposition), the
+   consed PartSJ join against the nested-loop ground truth (including
+   under a per-pair budget) and across domain counts, the serving
+   store's whole-tree dedup against a duplicate-free store, and
    the in-place Arena matrix reshape under shape-alternating kernel
    calls. *)
 
@@ -13,6 +14,7 @@ module Ted = Tsj_ted.Ted
 module Memo = Tsj_ted.Memo
 module Partsj = Tsj_core.Partsj
 module Types = Tsj_join.Types
+module Nested_loop = Tsj_join.Nested_loop
 module Budget = Tsj_join.Budget
 module Prng = Tsj_util.Prng
 module Store = Tsj_server.Store
@@ -121,9 +123,54 @@ let test_memo_result_cache () =
       if i >= 2 then
         Alcotest.(check bool) (name "hits the cache") true
           (Atomic.get Memo.hits > hits0))
-    [ 1; 5; 1; 5 ]
+    [ 1; 5; 1; 5 ];
+  (* Every decomposition, bounded and unbounded, over a batch salted
+     with duplicates and mirror images: consed and unconsed preps must
+     both give the Naive distance.  The shortcuts key on the trees' own
+     root ids only, so a mirrored pair run through [Zs_right] must
+     answer right twice, the second time from the cache. *)
+  let rng = Prng.create 77 in
+  let base = Array.of_list (Gen.random_forest rng ~n:8 ~max_size:9) in
+  let batch =
+    Array.concat
+      [ base; Array.map Tree.mirror base; Array.init 4 (fun i -> base.(2 * i)) ]
+  in
+  let dag = Dag.create () in
+  let consed = Array.map (fun t -> Ted.preprocess_consed (Ted.cons dag t)) batch in
+  let plain = Array.map Ted.preprocess batch in
+  let hits0 = Atomic.get Memo.hits in
+  Array.iteri
+    (fun i ci ->
+      Array.iteri
+        (fun j cj ->
+          let truth = Ted.distance_prep ~algorithm:Ted.Naive plain.(i) plain.(j) in
+          List.iter
+            (fun (aname, algorithm) ->
+              let name what = Printf.sprintf "%s pair (%d, %d) %s" aname i j what in
+              Alcotest.(check int) (name "unconsed") truth
+                (Ted.distance_prep ~algorithm plain.(i) plain.(j));
+              Alcotest.(check int) (name "consed") truth
+                (Ted.distance_prep ~algorithm ci cj);
+              List.iter
+                (fun k ->
+                  let expect = min truth (k + 1) in
+                  Alcotest.(check int)
+                    (name (Printf.sprintf "unconsed k=%d" k))
+                    expect
+                    (Ted.bounded_distance_prep ~algorithm plain.(i) plain.(j) k);
+                  for _ = 1 to 2 do
+                    Alcotest.(check int)
+                      (name (Printf.sprintf "consed k=%d" k))
+                      expect
+                      (Ted.bounded_distance_prep ~algorithm ci cj k)
+                  done)
+                [ 0; 1; 3 ])
+            [ ("Zs_left", Ted.Zs_left); ("Zs_right", Ted.Zs_right); ("Hybrid", Ted.Hybrid) ])
+        consed)
+    consed;
+  Alcotest.(check bool) "batch repeats hit the cache" true (Atomic.get Memo.hits > hits0)
 
-(* --- consing is invisible in the join output --- *)
+(* --- the consed join against the ground truth --- *)
 
 let arb_forest =
   QCheck.make
@@ -143,29 +190,49 @@ let forest_of_seed seed n max_size =
       if i < Array.length base then base.(i)
       else base.(Prng.int rng (Array.length base)))
 
-let prop_consing_bit_identical (seed, n, max_size) =
+let sorted_pairs (o : Types.output) =
+  List.sort compare (List.map (fun p -> (p.Types.i, p.Types.j, p.Types.distance)) o.Types.pairs)
+
+let prop_join_matches_nested_loop (seed, n, max_size) =
   let trees = forest_of_seed seed n max_size in
   let tau = 1 + (seed mod 3) in
-  let off = Partsj.join ~consing:false ~trees ~tau () in
-  let on1 = Partsj.join ~consing:true ~trees ~tau () in
-  let on3 = Partsj.join ~consing:true ~domains:3 ~trees ~tau () in
-  if not (Types.equal_deterministic off on1) then
-    QCheck.Test.fail_reportf "consing changed the output (seed=%d)" seed
+  let truth = Nested_loop.join ~trees ~tau () in
+  let on1 = Partsj.join ~trees ~tau () in
+  let on3 = Partsj.join ~domains:3 ~trees ~tau () in
+  if sorted_pairs on1 <> sorted_pairs truth then
+    QCheck.Test.fail_reportf "consed join differs from the nested loop (seed=%d)" seed
   else if not (Types.equal_deterministic on1 on3) then
     QCheck.Test.fail_reportf
       "consed join differs across domain counts (seed=%d)" seed
   else true
 
-let prop_consing_budget_bit_identical (seed, n, max_size) =
-  (* The per-pair cost model is a pure function of the pair, so budgeted
-     joins must quarantine the same pairs with and without consing. *)
+let prop_budgeted_join_sound (seed, n, max_size) =
+  (* The per-pair cost model is a pure function of the pair, so a
+     budgeted join quarantines the same pairs at every domain count; every
+     pair it reports is a true pair with its true distance, and every
+     true pair it leaves out is quarantined. *)
   let trees = forest_of_seed seed n max_size in
   let tau = 1 + (seed mod 3) in
-  let run consing =
+  let run domains =
     let budget = Budget.create ~pair_cost_limit:400 () in
-    Partsj.join ~consing ~budget ~trees ~tau ()
+    Partsj.join ~domains ~budget ~trees ~tau ()
   in
-  Types.equal_deterministic (run false) (run true)
+  let o1 = run 1 and o3 = run 3 in
+  let truth = sorted_pairs (Nested_loop.join ~trees ~tau ()) in
+  let got = sorted_pairs o1 in
+  let quarantined (i, j, _) =
+    List.exists
+      (fun q -> q.Types.q_i = i && q.Types.q_j = Some j)
+      o1.Types.quarantined
+  in
+  if not (Types.equal_deterministic o1 o3) then
+    QCheck.Test.fail_reportf "budgeted join differs across domain counts (seed=%d)" seed
+  else if not (List.for_all (fun p -> List.mem p truth) got) then
+    QCheck.Test.fail_reportf "budgeted join reports a false pair (seed=%d)" seed
+  else if
+    not (List.for_all (fun p -> List.mem p got || quarantined p) truth)
+  then QCheck.Test.fail_reportf "budgeted join lost a true pair (seed=%d)" seed
+  else true
 
 (* --- serving store: whole-tree dedup --- *)
 
@@ -282,10 +349,10 @@ let suite =
     Alcotest.test_case "hash_bits validation" `Quick test_hash_bits_validation;
     prop_collisions_exact;
     Alcotest.test_case "memo result cache" `Quick test_memo_result_cache;
-    Gen.qtest ~count:20 "join bit-identical with consing on/off" arb_forest
-      prop_consing_bit_identical;
-    Gen.qtest ~count:12 "budgeted join bit-identical with consing on/off"
-      arb_forest prop_consing_budget_bit_identical;
+    Gen.qtest ~count:20 "join = nested loop at 1 and 3 domains" arb_forest
+      prop_join_matches_nested_loop;
+    Gen.qtest ~count:12 "budgeted join sound at 1 and 3 domains" arb_forest
+      prop_budgeted_join_sound;
     Alcotest.test_case "store dedup = duplicate-free store" `Quick
       test_store_dedup_equivalence;
     Alcotest.test_case "store dedup within one batch" `Quick
