@@ -40,6 +40,16 @@ let dataset config profile n =
   printf config "  [%s: %s]\n%!" profile.Profiles.name (Profiles.describe trees);
   trees
 
+(* Best-effort recursive removal of a bench's scratch directory
+   (sockets, store directories, journals). *)
+let rec remove_scratch path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove_scratch (Filename.concat path f)) (Sys.readdir path);
+      try Unix.rmdir path with Unix.Unix_error _ -> ()
+    end
+    else try Sys.remove path with Sys_error _ -> ()
+
 (* One instrumented run; rows feed both the runtime and candidate tables. *)
 type row = { method_ : Methods.t; label : string; output : Types.output }
 
@@ -1059,15 +1069,7 @@ let serving config =
   close_out oc;
   printf config "  wrote BENCH_serving.json\n";
   (* Tidy the socket/store temp dir. *)
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm tmp
+  remove_scratch tmp
 
 (* --- serving-soak: sustained mixed workload at fixed connection
    counts --- *)
@@ -1234,15 +1236,7 @@ let serving_soak config =
           rows));
   close_out oc;
   printf config "  wrote BENCH_serving_soak.json\n";
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm tmp
+  remove_scratch tmp
 
 (* --- overload: fair admission and deadline propagation under a
    widening greedy burst --- *)
@@ -1662,15 +1656,7 @@ let replication config =
         if alive.(i) then (try Server.drain s with _ -> ());
         try Server.wait s with _ -> ())
       nodes;
-    let rec rm path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then begin
-          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-          (try Unix.rmdir path with Unix.Unix_error _ -> ())
-        end
-        else try Sys.remove path with Sys_error _ -> ()
-    in
-    rm tmp2;
+    remove_scratch tmp2;
     (preserved, single_writer)
   in
   if not bin_acked_preserved then fail "binary-protocol storm lost an acknowledged ADD";
@@ -1735,15 +1721,7 @@ let replication config =
     storm.Faults.cluster_answers_match bin_acked_preserved bin_single_writer;
   close_out oc;
   printf config "  wrote BENCH_replication.json\n";
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm tmp
+  remove_scratch tmp
 
 let sharding config =
   Table.heading ~out:config.out
@@ -1971,15 +1949,7 @@ let sharding config =
     servers;
   (try Server.drain target with _ -> ());
   (try Server.wait target with _ -> ());
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm tmp
+  remove_scratch tmp
 
 (* --- integrity: scrub overhead under load, bit-rot storm, Merkle
    anti-entropy frugality --- *)
@@ -1998,14 +1968,6 @@ let integrity config =
   let tau = 2 in
   let fail msg = failwith ("Experiments.integrity: " ^ msg) in
   let ok_or_fail = function Ok v -> v | Error msg -> fail msg in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
   (* Phase 1 — scrub overhead: the soak workload (pipelined binary
      queries over fixed connections) against the same preloaded server,
      once with the scrubber off and once with it re-verifying the
@@ -2083,7 +2045,7 @@ let integrity config =
       s
     in
     Server.wait server;
-    rm tmp;
+    remove_scratch tmp;
     (float_of_int sent /. wall, stats)
   in
   let rps_off, _ = run_soak ~scrub:false in
@@ -2116,7 +2078,7 @@ let integrity config =
             fail "offline scrub found corruption on a healthy store")
     in
     Store.close store;
-    rm tmp;
+    remove_scratch tmp;
     1000.0 *. wall
   in
   (* Phase 3 — the bit-rot storm: random bit flips in live files,

@@ -224,6 +224,44 @@ type stats_reply = {
   a_p99 : int;
 }
 
+(* The one description of STATS: every field as (text key, value) in wire
+   order.  The text renderer and parser and the binary encoder and
+   decoder are all driven by it and by [stats_of_fields], its inverse
+   over field positions. *)
+let stats_fields s =
+  [
+    ("trees", s.trees); ("tau", s.tau); ("queries", s.queries); ("adds", s.adds);
+    ("shed", s.shed); ("degraded", s.degraded); ("errors", s.errors);
+    ("quarantined", s.quarantined); ("inflight", s.inflight);
+    ("draining", Bool.to_int s.draining); ("journal", s.journal_records);
+    ("epoch", s.epoch); ("primary", Bool.to_int s.primary); ("dedup", s.dedup);
+    ("scrubbed", s.scrubbed); ("crc_failures", s.crc_failures);
+    ("repaired", s.repaired); ("expired", s.expired);
+    ("accept_pauses", s.accept_pauses); ("reaped", s.reaped); ("q_p50", s.q_p50);
+    ("q_p95", s.q_p95); ("q_p99", s.q_p99); ("k_p50", s.k_p50); ("k_p95", s.k_p95);
+    ("k_p99", s.k_p99); ("a_p50", s.a_p50); ("a_p95", s.a_p95); ("a_p99", s.a_p99);
+  ]
+
+let stats_of_fields get =
+  {
+    trees = get 0; tau = get 1; queries = get 2; adds = get 3; shed = get 4;
+    degraded = get 5; errors = get 6; quarantined = get 7; inflight = get 8;
+    draining = get 9 = 1; journal_records = get 10; epoch = get 11;
+    primary = get 12 = 1; dedup = get 13; scrubbed = get 14; crc_failures = get 15;
+    repaired = get 16; expired = get 17; accept_pauses = get 18; reaped = get 19;
+    q_p50 = get 20; q_p95 = get 21; q_p99 = get 22; k_p50 = get 23; k_p95 = get 24;
+    k_p99 = get 25; a_p50 = get 26; a_p95 = get 27; a_p99 = get 28;
+  }
+
+let zero_stats = stats_of_fields (fun _ -> 0)
+
+let stats_keys = Array.of_list (List.map fst (stats_fields zero_stats))
+
+(* Pre-dedup servers sent only the first 13 fields; every later field
+   was added by one server generation and reads as 0 when a peer omits
+   it. *)
+let stats_required = 13
+
 type response =
   | Hits of {
       degraded : bool;
@@ -269,18 +307,8 @@ let render_response r =
   | Tree_reply { seq; tree } ->
     Buffer.add_string b (Printf.sprintf "TREE %d %s" seq (Bracket.to_string tree))
   | Stats_reply s ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "STATS trees=%d tau=%d queries=%d adds=%d shed=%d degraded=%d errors=%d \
-          quarantined=%d inflight=%d draining=%d journal=%d epoch=%d primary=%d \
-          dedup=%d scrubbed=%d crc_failures=%d repaired=%d expired=%d \
-          accept_pauses=%d reaped=%d q_p50=%d q_p95=%d q_p99=%d k_p50=%d \
-          k_p95=%d k_p99=%d a_p50=%d a_p95=%d a_p99=%d"
-         s.trees s.tau s.queries s.adds s.shed s.degraded s.errors s.quarantined
-         s.inflight (Bool.to_int s.draining) s.journal_records s.epoch
-         (Bool.to_int s.primary) s.dedup s.scrubbed s.crc_failures s.repaired
-         s.expired s.accept_pauses s.reaped s.q_p50 s.q_p95 s.q_p99 s.k_p50
-         s.k_p95 s.k_p99 s.a_p50 s.a_p95 s.a_p99)
+    Buffer.add_string b "STATS";
+    List.iter (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%d" k v)) (stats_fields s)
   | Health_reply { draining } ->
     Buffer.add_string b (if draining then "OK draining" else "OK serving")
   | Drained -> Buffer.add_string b "OK drained"
@@ -385,73 +413,10 @@ let parse_response line =
               true))
         fields
     in
-    let get k = Hashtbl.find_opt tbl k in
-    match
-      ( ok,
-        get "trees",
-        get "tau",
-        get "queries",
-        get "adds",
-        get "shed",
-        get "degraded",
-        get "errors",
-        get "quarantined",
-        get "inflight",
-        get "draining",
-        get "journal",
-        get "epoch",
-        get "primary" )
-    with
-    | ( true,
-        Some trees,
-        Some tau,
-        Some queries,
-        Some adds,
-        Some shed,
-        Some degraded,
-        Some errors,
-        Some quarantined,
-        Some inflight,
-        Some draining,
-        Some journal_records,
-        Some epoch,
-        Some primary ) ->
-      Ok
-        (Stats_reply
-           {
-             trees;
-             tau;
-             queries;
-             adds;
-             shed;
-             degraded;
-             errors;
-             quarantined;
-             inflight;
-             draining = draining = 1;
-             journal_records;
-             epoch;
-             primary = primary = 1;
-             (* absent in replies from pre-dedup / pre-scrub /
-                pre-overload servers *)
-             dedup = Option.value (get "dedup") ~default:0;
-             scrubbed = Option.value (get "scrubbed") ~default:0;
-             crc_failures = Option.value (get "crc_failures") ~default:0;
-             repaired = Option.value (get "repaired") ~default:0;
-             expired = Option.value (get "expired") ~default:0;
-             accept_pauses = Option.value (get "accept_pauses") ~default:0;
-             reaped = Option.value (get "reaped") ~default:0;
-             q_p50 = Option.value (get "q_p50") ~default:0;
-             q_p95 = Option.value (get "q_p95") ~default:0;
-             q_p99 = Option.value (get "q_p99") ~default:0;
-             k_p50 = Option.value (get "k_p50") ~default:0;
-             k_p95 = Option.value (get "k_p95") ~default:0;
-             k_p99 = Option.value (get "k_p99") ~default:0;
-             a_p50 = Option.value (get "a_p50") ~default:0;
-             a_p95 = Option.value (get "a_p95") ~default:0;
-             a_p99 = Option.value (get "a_p99") ~default:0;
-           })
-    | _ -> fail ())
+    let get i = Hashtbl.find_opt tbl stats_keys.(i) in
+    if ok && List.for_all (fun i -> get i <> None) (List.init stats_required Fun.id) then
+      Ok (Stats_reply (stats_of_fields (fun i -> Option.value (get i) ~default:0)))
+    else fail ())
   | [ "OK"; "serving" ] -> Ok (Health_reply { draining = false })
   | [ "OK"; "draining" ] -> Ok (Health_reply { draining = true })
   | [ "OK"; "drained" ] -> Ok Drained
@@ -655,12 +620,7 @@ module Binary = struct
         pairs partners;
         op_added
       | Stats_reply s ->
-        List.iter (u32 body)
-          [ s.trees; s.tau; s.queries; s.adds; s.shed; s.degraded; s.errors;
-            s.quarantined; s.inflight; Bool.to_int s.draining; s.journal_records;
-            s.epoch; Bool.to_int s.primary; s.dedup; s.scrubbed; s.crc_failures;
-            s.repaired; s.expired; s.accept_pauses; s.reaped; s.q_p50; s.q_p95;
-            s.q_p99; s.k_p50; s.k_p95; s.k_p99; s.a_p50; s.a_p95; s.a_p99 ];
+        List.iter (fun (_, v) -> u32 body v) (stats_fields s);
         op_stats_reply
       | Health_reply { draining } ->
         Buffer.add_char body (if draining then '\001' else '\000');
@@ -720,45 +680,13 @@ module Binary = struct
           Ok (Added { id; partners })
     end
     else if op = op_stats_reply then begin
-      (* 52 bytes: pre-dedup frame (13 u32s); 56: pre-scrub (14);
-         68: pre-overload (17); 116: current (29). *)
-      if len <> 52 && len <> 56 && len <> 68 && len <> 116 then fail "STATS"
+      (* One u32 per field: 52 bytes from pre-dedup servers (13 fields),
+         56 pre-scrub (14), 68 pre-overload (17), 116 current (29). *)
+      if not (List.mem len [ 52; 56; 68; 4 * Array.length stats_keys ]) then fail "STATS"
       else
-        let f i = get_u32 body (4 * i) in
-        let opt i = if len >= 4 * (i + 1) then f i else 0 in
         Ok
           (Stats_reply
-             {
-               trees = f 0;
-               tau = f 1;
-               queries = f 2;
-               adds = f 3;
-               shed = f 4;
-               degraded = f 5;
-               errors = f 6;
-               quarantined = f 7;
-               inflight = f 8;
-               draining = f 9 = 1;
-               journal_records = f 10;
-               epoch = f 11;
-               primary = f 12 = 1;
-               dedup = opt 13;
-               scrubbed = opt 14;
-               crc_failures = opt 15;
-               repaired = opt 16;
-               expired = opt 17;
-               accept_pauses = opt 18;
-               reaped = opt 19;
-               q_p50 = opt 20;
-               q_p95 = opt 21;
-               q_p99 = opt 22;
-               k_p50 = opt 23;
-               k_p95 = opt 24;
-               k_p99 = opt 25;
-               a_p50 = opt 26;
-               a_p95 = opt 27;
-               a_p99 = opt 28;
-             })
+             (stats_of_fields (fun i -> if 4 * i < len then get_u32 body (4 * i) else 0)))
     end
     else if op = op_health_reply then begin
       if len <> 1 then fail "HEALTH" else Ok (Health_reply { draining = body.[0] = '\001' })

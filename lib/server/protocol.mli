@@ -243,6 +243,9 @@ type stats_reply = {
   a_p99 : int;
 }
 
+val zero_stats : stats_reply
+(** Every counter 0, [draining] and [primary] false. *)
+
 type response =
   | Hits of {
       degraded : bool;

@@ -833,38 +833,23 @@ let migrate ?(deadline_s = 30.0) t ~shard ~target =
 let stats t =
   let n = n_trees t in
   let ledgered = Mutex.protect t.r_ledger_mutex (fun () -> t.r_ledger <> None) in
+  (* Overload telemetry is per-node; the router front does not queue or
+     shed work itself, so those fields stay zero in the aggregate view. *)
   {
-    Protocol.trees = n;
+    Protocol.zero_stats with
+    trees = n;
     tau = t.r_tau;
     queries = Atomic.get t.r_queries;
     adds = Atomic.get t.r_adds;
-    shed = 0;
     degraded = Atomic.get t.r_degraded;
     errors = Atomic.get t.r_errors;
     quarantined = Atomic.get t.r_quarantined;
-    inflight = 0;
     draining = Atomic.get t.r_draining;
     journal_records = (if ledgered then n else 0);
-    epoch = 0;
     primary = true;
-    dedup = 0;
     scrubbed = Atomic.get t.r_scrubbed;
     crc_failures = Atomic.get t.r_crc_failures;
     repaired = Atomic.get t.r_repaired;
-    (* overload telemetry is per-node; the router front does not queue
-       or shed work itself, so these stay zero in the aggregate view *)
-    expired = 0;
-    accept_pauses = 0;
-    reaped = 0;
-    q_p50 = 0;
-    q_p95 = 0;
-    q_p99 = 0;
-    k_p50 = 0;
-    k_p95 = 0;
-    k_p99 = 0;
-    a_p50 = 0;
-    a_p95 = 0;
-    a_p99 = 0;
   }
 
 (* --- line-protocol front-end --- *)
@@ -875,25 +860,6 @@ type front = {
   f_stop : bool Atomic.t;
   mutable f_thread : Thread.t option;
 }
-
-let bind_listener addr =
-  match addr with
-  | Protocol.Unix_path path ->
-    if Sys.file_exists path then Sys.remove path;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Protocol.Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (inet, port));
-    Unix.listen fd 64;
-    fd
 
 let answer_to_hits a =
   Protocol.Hits { degraded = a.a_degraded; hits = a.a_hits; unverified = a.a_unverified }
@@ -979,10 +945,22 @@ let serve_conn t cfd =
   let oc = Unix.out_channel_of_descr cfd in
   (try
      let closing = ref false in
+     let reply resp =
+       output_string oc (Protocol.render_response resp);
+       output_char oc '\n';
+       flush oc
+     in
      while not !closing do
-       match input_line ic with
-       | exception End_of_file -> closing := true
-       | line ->
+       match Server.read_line_bounded ic ~max_bytes:Server.default_max_line_bytes with
+       | None -> closing := true
+       | Some (_, true) ->
+         (* The node's cap: refuse the line and drop the connection
+            rather than buffer an unbounded request. *)
+         reply
+           (Protocol.Err
+              (Printf.sprintf "request line exceeds %d bytes" Server.default_max_line_bytes));
+         closing := true
+       | Some (line, false) ->
          let resp =
            match Protocol.parse_request_d line with
            | Error reason -> Protocol.Err reason
@@ -990,15 +968,13 @@ let serve_conn t cfd =
              if req = Protocol.Drain then closing := true;
              handle t ?deadline_ms req
          in
-         output_string oc (Protocol.render_response resp);
-         output_char oc '\n';
-         flush oc
+         reply resp
      done
    with Sys_error _ | Unix.Unix_error _ -> ());
   try Unix.close cfd with Unix.Unix_error _ -> ()
 
 let start_front t addr =
-  match bind_listener addr with
+  match Server.bind_listener addr with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | exception Sys_error m -> Error m
   | fd ->

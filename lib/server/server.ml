@@ -29,6 +29,8 @@ type config = {
   max_conns : int option;  (** hard cap on live connections; [None] = unbounded *)
 }
 
+let default_max_line_bytes = 1 lsl 20
+
 let default_config addr ~tau =
   {
     addr;
@@ -38,7 +40,7 @@ let default_config addr ~tau =
     max_inflight = 64;
     deadline_s = None;
     drain_budget_s = 5.0;
-    max_line_bytes = 1 lsl 20;
+    max_line_bytes = default_max_line_bytes;
     handle_sigterm = false;
     quorum = 1;
     sync_from = [];
@@ -295,22 +297,23 @@ let kill_conn t c reason =
 (* --- blocking line IO (replication streams only) --- *)
 
 (* Read one line with a hard byte cap so a peer streaming an endless
-   line cannot exhaust memory. *)
+   line cannot exhaust memory: past [max_bytes] it stops reading and
+   reports the overflow at once, without waiting for the newline. *)
 let read_line_bounded ic ~max_bytes =
   let b = Buffer.create 256 in
-  let rec loop overflow =
+  let rec loop () =
     match input_char ic with
     | exception End_of_file ->
-      if Buffer.length b = 0 && not overflow then None else Some (Buffer.contents b, overflow)
-    | '\n' -> Some (Buffer.contents b, overflow)
+      if Buffer.length b = 0 then None else Some (Buffer.contents b, false)
+    | '\n' -> Some (Buffer.contents b, false)
     | c ->
-      if Buffer.length b >= max_bytes then loop true
+      if Buffer.length b >= max_bytes then Some (Buffer.contents b, true)
       else begin
         Buffer.add_char b c;
-        loop overflow
+        loop ()
       end
   in
-  loop false
+  loop ()
 
 let trim_cr s =
   let n = String.length s in

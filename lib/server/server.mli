@@ -153,6 +153,10 @@ type config = {
           immediately (counted as [reaped=]); [None] = unlimited *)
 }
 
+val default_max_line_bytes : int
+(** 1 MiB: the default {!config.max_line_bytes}, also the router front's
+    line cap. *)
+
 val default_config : Protocol.addr -> tau:int -> config
 (** Ephemeral store, 1 domain, watermark 64, no deadline, 5 s drain
     budget, 1 MiB line cap, no signal handler; quorum 1, no sync peers,
@@ -201,3 +205,16 @@ val replica : t -> Replica.t
 val quarantined : t -> Tsj_join.Types.quarantined list
 (** Connections quarantined so far (oldest first); [q_i] is the
     connection id. *)
+
+(** {2 Socket helpers shared with the router front} *)
+
+val bind_listener : Protocol.addr -> Unix.file_descr
+(** A listening socket on [addr] (a stale Unix socket path is removed
+    first; TCP sets [SO_REUSEADDR]).
+    @raise Unix.Unix_error if the address cannot be bound. *)
+
+val read_line_bounded : in_channel -> max_bytes:int -> (string * bool) option
+(** The next ['\n']-terminated line of a blocking channel, without the
+    newline; [None] at end of input.  [(prefix, true)] means the line
+    exceeded [max_bytes]: reading stopped there, the rest of the line is
+    left unread. *)

@@ -665,6 +665,70 @@ let test_hedged_reads () =
           Alcotest.(check bool) "hedges fired" true (fired >= Array.length queries);
           Alcotest.(check bool) "hedges won" true (wins >= Array.length queries)))
 
+(* The router front reads request lines through the node's byte cap:
+   a line longer than the cap is answered [ERR] and its connection is
+   dropped without the rest of the line being buffered, and the front
+   keeps serving other connections. *)
+let test_router_front_line_cap () =
+  let tau = 2 in
+  with_shard_servers ~tau 2 (fun addrs _servers ->
+      let cfg =
+        {
+          Router.map = Shard.create ~shards:2 ~tau ();
+          tau;
+          groups = Array.map (fun a -> [ a ]) addrs;
+          timeout_s = 2.0;
+          attempts = 2;
+          ledger = None;
+          seed = 778;
+          hedge_s = None;
+          margin_ms = 0;
+        }
+      in
+      let router = ok_or_fail (Router.create cfg) in
+      let fsock = Filename.temp_file "tsj_front" ".sock" in
+      Sys.remove fsock;
+      let faddr = Protocol.Unix_path fsock in
+      let front = ok_or_fail (Router.start_front router faddr) in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.stop_front front;
+          Router.close router;
+          if Sys.file_exists fsock then Sys.remove fsock)
+        (fun () ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX fsock);
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+              (* One byte past the cap and no newline: the router must
+                 answer without waiting for the end of the line. *)
+              let line = Bytes.make (Server.default_max_line_bytes + 1) 'a' in
+              let rec send off =
+                if off < Bytes.length line then
+                  send (off + Unix.write fd line off (Bytes.length line - off))
+              in
+              send 0;
+              let ic = Unix.in_channel_of_descr fd in
+              (match Protocol.parse_response (input_line ic) with
+              | Ok (Protocol.Err msg) ->
+                Alcotest.(check string) "over-long line refused"
+                  (Printf.sprintf "request line exceeds %d bytes"
+                     Server.default_max_line_bytes)
+                  msg
+              | _ -> Alcotest.fail "over-long line not answered with ERR");
+              Alcotest.(check bool) "connection closed" true
+                (match input_line ic with _ -> false | exception End_of_file -> true));
+          let conn = ok_or_fail (Client.connect faddr) in
+          Fun.protect
+            ~finally:(fun () -> Client.close conn)
+            (fun () ->
+              match ok_or_fail (Client.request conn Protocol.Health) with
+              | Protocol.Health_reply { draining = false } -> ()
+              | r ->
+                Alcotest.failf "second connection answered %s" (Protocol.render_response r))))
+
 let suite =
   [
     Alcotest.test_case "band-key placement and windows" `Quick test_band_routing;
@@ -673,6 +737,8 @@ let suite =
       test_router_end_to_end;
     Alcotest.test_case "router front-end speaks the node grammar" `Quick
       test_router_front_wire;
+    Alcotest.test_case "router front refuses over-long lines" `Quick
+      test_router_front_line_cap;
     Alcotest.test_case "ledger recovery and orphan adoption" `Quick
       test_router_ledger_recovery;
     Alcotest.test_case "ledger integrity: scrub, heal, quarantine" `Quick

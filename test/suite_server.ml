@@ -131,6 +131,86 @@ let test_response_roundtrip () =
       | Ok _ -> Alcotest.failf "%S unexpectedly parsed" s)
     [ "HITS 0 2 0 1:2"; "HITS 2 0 0"; "ADDED x 0"; "STATS trees=1"; "OK"; "nonsense" ]
 
+(* Golden STATS encodings: the text line and the binary body of one
+   known reply are pinned byte for byte (every field a distinct value,
+   so a swapped or dropped field shows), and the shorter frames of older
+   servers still decode, their missing fields as 0. *)
+let test_stats_golden () =
+  let s =
+    {
+      Protocol.trees = 100; tau = 2; queries = 102; adds = 103; shed = 104;
+      degraded = 105; errors = 106; quarantined = 107; inflight = 108;
+      draining = true; journal_records = 110; epoch = 111; primary = true;
+      dedup = 113; scrubbed = 114; crc_failures = 115; repaired = 116;
+      expired = 117; accept_pauses = 118; reaped = 119; q_p50 = 120;
+      q_p95 = 121; q_p99 = 122; k_p50 = 123; k_p95 = 124; k_p99 = 125;
+      a_p50 = 126; a_p95 = 127; a_p99 = 128;
+    }
+  in
+  let line =
+    "STATS trees=100 tau=2 queries=102 adds=103 shed=104 degraded=105 errors=106 \
+     quarantined=107 inflight=108 draining=1 journal=110 epoch=111 primary=1 \
+     dedup=113 scrubbed=114 crc_failures=115 repaired=116 expired=117 \
+     accept_pauses=118 reaped=119 q_p50=120 q_p95=121 q_p99=122 k_p50=123 \
+     k_p95=124 k_p99=125 a_p50=126 a_p95=127 a_p99=128"
+  in
+  Alcotest.(check string) "text line" line (Protocol.render_response (Protocol.Stats_reply s));
+  (match Protocol.parse_response line with
+  | Ok (Protocol.Stats_reply s') -> Alcotest.(check bool) "text parses back" true (s' = s)
+  | _ -> Alcotest.fail "golden text line does not parse");
+  let hex =
+    "0000006400000002000000660000006700000068000000690000006a\
+     0000006b0000006c000000010000006e0000006f0000000100000071\
+     00000072000000730000007400000075000000760000007700000078\
+     000000790000007a0000007b0000007c0000007d0000007e0000007f\
+     00000080"
+  in
+  let golden_body =
+    String.init (String.length hex / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+  in
+  let b = Buffer.create 128 in
+  Protocol.Binary.encode_response b ~id:7 (Protocol.Stats_reply s);
+  let frame = Buffer.contents b in
+  Alcotest.(check int) "frame length" (9 + 116) (String.length frame);
+  Alcotest.(check int) "length prefix" (5 + 116) (Protocol.Binary.get_u32 frame 0);
+  Alcotest.(check int) "request id" 7 (Protocol.Binary.get_u32 frame 4);
+  let op = Char.code frame.[8] in
+  Alcotest.(check int) "STATS reply opcode" 0x83 op;
+  let body = String.sub frame 9 116 in
+  Alcotest.(check string) "binary body" golden_body body;
+  let decode len = Protocol.Binary.decode_response ~op ~body:(String.sub body 0 len) in
+  (match decode 116 with
+  | Ok (Protocol.Stats_reply s') -> Alcotest.(check bool) "binary decodes back" true (s' = s)
+  | _ -> Alcotest.fail "golden binary body does not decode");
+  (* Legacy frames: pre-dedup (13 u32s), pre-scrub (14), pre-overload
+     (17). *)
+  let pre_overload =
+    { s with expired = 0; accept_pauses = 0; reaped = 0; q_p50 = 0; q_p95 = 0;
+      q_p99 = 0; k_p50 = 0; k_p95 = 0; k_p99 = 0; a_p50 = 0; a_p95 = 0; a_p99 = 0 }
+  in
+  let pre_scrub = { pre_overload with scrubbed = 0; crc_failures = 0; repaired = 0 } in
+  let pre_dedup = { pre_scrub with dedup = 0 } in
+  List.iter
+    (fun (len, expect) ->
+      match decode len with
+      | Ok (Protocol.Stats_reply s') ->
+        Alcotest.(check bool) (Printf.sprintf "%d-byte frame" len) true (s' = expect)
+      | _ -> Alcotest.failf "%d-byte frame does not decode" len)
+    [ (52, pre_dedup); (56, pre_scrub); (68, pre_overload) ];
+  List.iter
+    (fun len ->
+      match decode len with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%d-byte STATS frame unexpectedly decoded" len)
+    [ 0; 48; 60; 112 ];
+  (* The text line of a pre-dedup server ends after [primary]. *)
+  let words = String.split_on_char ' ' line in
+  match Protocol.parse_response (String.concat " " (List.filteri (fun i _ -> i <= 13) words)) with
+  | Ok (Protocol.Stats_reply s') ->
+    Alcotest.(check bool) "pre-dedup text line" true (s' = pre_dedup)
+  | _ -> Alcotest.fail "pre-dedup text line does not parse"
+
 (* --- store --- *)
 
 let trees_of seed n =
@@ -2089,6 +2169,7 @@ let suite =
     Alcotest.test_case "addr parse" `Quick test_addr_parse;
     Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
     Alcotest.test_case "response round trip" `Quick test_response_roundtrip;
+    Alcotest.test_case "STATS golden encodings" `Quick test_stats_golden;
     Alcotest.test_case "store persistence" `Quick test_store_persistence;
     Alcotest.test_case "store rejects mid-journal corruption" `Quick
       test_store_corrupt_journal_rejected;
