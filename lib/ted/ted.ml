@@ -18,8 +18,6 @@ type consed = Dag.node
 
 let cons dag tree = Dag.intern dag tree
 
-let consed_tree = Dag.tree
-
 let of_tree ~root tree =
   let left_po = Postorder.of_tree tree in
   let right_po = Postorder.of_tree (Tree.mirror tree) in

@@ -32,16 +32,13 @@ val cons : Tsj_tree.Dag.t -> Tsj_tree.Tree.t -> consed
 (** Interning mutates the store — call from one domain at a time (joins
     cons every tree up front, before fanning out). *)
 
-val consed_tree : consed -> Tsj_tree.Tree.t
-(** The shared structural view of the interned tree: structurally equal
-    trees consed into one store are physically equal ([==]). *)
-
 val preprocess_consed : consed -> prep
 (** Pure (no store mutation), so safe to run in parallel across trees.
     The resulting prep carries the tree's root DAG id, which enables the
     equal-root fast path and the whole-pair result cache ({!Memo}) of
     {!distance_prep} and {!bounded_distance_prep}, and its {!tree} is the
-    shared view of {!consed_tree}. *)
+    interned tree's shared view: structurally equal trees consed into
+    one store give physically equal ([==]) views. *)
 
 val tree : prep -> Tsj_tree.Tree.t
 
