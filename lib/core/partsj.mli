@@ -122,8 +122,8 @@ val join :
     running the DP, and the τ-banded kernel consults the whole-pair
     result cache ({!Tsj_ted.Memo}) — the cache traffic is reported in
     [stats.cascade.memo_hits]/[memo_misses].  Per-stage decisions are
-    reported in [stats.cascade]; the counters (including [quarantined]) partition the
-    candidate set.  [budget] enables the resilience limits and
+    reported in [stats.cascade]; the counters (including [quarantined])
+    partition the candidate set.  [budget] enables the resilience limits and
     [checkpoint] the progress journal described above.  In the reported
     stats, preprocessing is charged to verification (as before) and
     pipelined task times are attributed to their phase. *)

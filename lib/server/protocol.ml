@@ -308,7 +308,9 @@ let render_response r =
     Buffer.add_string b (Printf.sprintf "TREE %d %s" seq (Bracket.to_string tree))
   | Stats_reply s ->
     Buffer.add_string b "STATS";
-    List.iter (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%d" k v)) (stats_fields s)
+    List.iter
+      (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%d" k v))
+      (stats_fields s)
   | Health_reply { draining } ->
     Buffer.add_string b (if draining then "OK draining" else "OK serving")
   | Drained -> Buffer.add_string b "OK drained"
@@ -682,7 +684,8 @@ module Binary = struct
     else if op = op_stats_reply then begin
       (* One u32 per field: 52 bytes from pre-dedup servers (13 fields),
          56 pre-scrub (14), 68 pre-overload (17), 116 current (29). *)
-      if not (List.mem len [ 52; 56; 68; 4 * Array.length stats_keys ]) then fail "STATS"
+      if not (List.mem len [ 52; 56; 68; 4 * Array.length stats_keys ]) then
+        fail "STATS"
       else
         Ok
           (Stats_reply

@@ -950,15 +950,14 @@ let serve_conn t cfd =
        output_char oc '\n';
        flush oc
      in
+     let cap = Server.default_max_line_bytes in
      while not !closing do
-       match Server.read_line_bounded ic ~max_bytes:Server.default_max_line_bytes with
+       match Server.read_line_bounded ic ~max_bytes:cap with
        | None -> closing := true
        | Some (_, true) ->
          (* The node's cap: refuse the line and drop the connection
             rather than buffer an unbounded request. *)
-         reply
-           (Protocol.Err
-              (Printf.sprintf "request line exceeds %d bytes" Server.default_max_line_bytes));
+         reply (Protocol.Err (Printf.sprintf "request line exceeds %d bytes" cap));
          closing := true
        | Some (line, false) ->
          let resp =

@@ -294,7 +294,7 @@ let kill_conn t c reason =
   quarantine t ~conn_id:c.c_id reason;
   close_conn t c
 
-(* --- blocking line IO (replication streams only) --- *)
+(* --- blocking line IO (replication streams and the router front) --- *)
 
 (* Read one line with a hard byte cap so a peer streaming an endless
    line cannot exhaust memory: past [max_bytes] it stops reading and
