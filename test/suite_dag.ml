@@ -349,9 +349,9 @@ let suite =
     Alcotest.test_case "hash_bits validation" `Quick test_hash_bits_validation;
     prop_collisions_exact;
     Alcotest.test_case "memo result cache" `Quick test_memo_result_cache;
-    Gen.qtest ~count:20 "join = nested loop at 1 and 3 domains" arb_forest
+    Gen.qtest ~count:20 "join = nested loop, serial = parallel" arb_forest
       prop_join_matches_nested_loop;
-    Gen.qtest ~count:12 "budgeted join sound at 1 and 3 domains" arb_forest
+    Gen.qtest ~count:12 "budgeted join sound, serial = parallel" arb_forest
       prop_budgeted_join_sound;
     Alcotest.test_case "store dedup = duplicate-free store" `Quick
       test_store_dedup_equivalence;

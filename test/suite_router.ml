@@ -737,8 +737,6 @@ let suite =
       test_router_end_to_end;
     Alcotest.test_case "router front-end speaks the node grammar" `Quick
       test_router_front_wire;
-    Alcotest.test_case "router front refuses over-long lines" `Quick
-      test_router_front_line_cap;
     Alcotest.test_case "ledger recovery and orphan adoption" `Quick
       test_router_ledger_recovery;
     Alcotest.test_case "ledger integrity: scrub, heal, quarantine" `Quick
@@ -749,4 +747,6 @@ let suite =
     Alcotest.test_case "sharded storm with migrations" `Slow
       test_sharded_storm_migrations;
     prop_sharded_storm;
+    Alcotest.test_case "router front refuses over-long lines" `Quick
+      test_router_front_line_cap;
   ]

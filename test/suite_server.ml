@@ -2169,7 +2169,6 @@ let suite =
     Alcotest.test_case "addr parse" `Quick test_addr_parse;
     Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
     Alcotest.test_case "response round trip" `Quick test_response_roundtrip;
-    Alcotest.test_case "STATS golden encodings" `Quick test_stats_golden;
     Alcotest.test_case "store persistence" `Quick test_store_persistence;
     Alcotest.test_case "store rejects mid-journal corruption" `Quick
       test_store_corrupt_journal_rejected;
@@ -2253,4 +2252,5 @@ let suite =
     Alcotest.test_case "overload storm" `Slow test_overload_storm;
     prop_token_bucket_no_starvation;
     prop_deadline_monotone;
+    Alcotest.test_case "STATS golden encodings" `Quick test_stats_golden;
   ]
