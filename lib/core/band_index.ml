@@ -1,4 +1,5 @@
 module Binary_tree = Tsj_tree.Binary_tree
+module Int_table = Tsj_util.Int_table
 
 (* One size's inverted list: the two-layer index of its δ-partitionable
    trees plus the overflow list of sub-δ trees, newest first. *)
@@ -8,19 +9,19 @@ type t = {
   tau : int;
   mode : Two_layer_index.mode;
   delta : int;
-  entries : (int, entry) Hashtbl.t;
+  entries : entry Int_table.t;
 }
 
 let create ?(mode = Two_layer_index.Two_sided) ~tau () =
   if tau < 0 then invalid_arg "Band_index.create: negative threshold";
-  { tau; mode; delta = (2 * tau) + 1; entries = Hashtbl.create 64 }
+  { tau; mode; delta = (2 * tau) + 1; entries = Int_table.create 64 }
 
 let entry t size =
-  match Hashtbl.find_opt t.entries size with
+  match Int_table.find_opt t.entries size with
   | Some e -> e
   | None ->
     let e = { index = Two_layer_index.create ~mode:t.mode ~tau:t.tau (); small = [] } in
-    Hashtbl.add t.entries size e;
+    Int_table.add t.entries size e;
     e
 
 let add ?rng ?also t ~id btree =
@@ -48,19 +49,19 @@ let add ?rng ?also t ~id btree =
 type probe = { ids : int list; probed : int; matched : int; small_hits : int }
 
 let probe t ~lo ~hi btree cursor =
-  let checked = Hashtbl.create 16 in
+  let checked = Int_table.create 16 in
   let ids = ref [] and probed = ref 0 and matched = ref 0 and small_hits = ref 0 in
   let found tj =
-    Hashtbl.add checked tj ();
+    Int_table.add checked tj ();
     ids := tj :: !ids
   in
-  for size = max 1 lo to hi do
-    match Hashtbl.find_opt t.entries size with
+  for size = Int.max 1 lo to hi do
+    match Int_table.find_opt t.entries size with
     | None -> ()
     | Some e ->
       List.iter
         (fun tj ->
-          if not (Hashtbl.mem checked tj) then begin
+          if not (Int_table.mem checked tj) then begin
             incr small_hits;
             found tj
           end)
@@ -71,7 +72,7 @@ let probe t ~lo ~hi btree cursor =
           Two_layer_index.probe_cursor e.index cursor v (fun s ->
               incr probed;
               let tj = s.Subgraph.tree_id in
-              if (not (Hashtbl.mem checked tj)) && Subgraph.matches s btree v then begin
+              if (not (Int_table.mem checked tj)) && Subgraph.matches s btree v then begin
                 incr matched;
                 found tj
               end)

@@ -1,6 +1,7 @@
 module Tree = Tsj_tree.Tree
 module Binary_tree = Tsj_tree.Binary_tree
 module Ted = Tsj_ted.Ted
+module Int_table = Tsj_util.Int_table
 
 type t = {
   tau : int;
@@ -238,17 +239,19 @@ let nearest ~k t q =
   else begin
     let qform = Verifier.of_tree q in
     let qb = Binary_tree.of_tree q in
-    let dist_cache : (int, int) Hashtbl.t = Hashtbl.create 64 in
+    let dist_cache = Int_table.create 64 in
     let dist tj =
-      match Hashtbl.find_opt dist_cache tj with
+      match Int_table.find_opt dist_cache tj with
       | Some d -> d
       | None ->
         let d = distance t ~tau:t.tau qform tj in
-        Hashtbl.add dist_cache tj d;
+        Int_table.add dist_cache tj d;
         d
     in
     let sorted_hits tau' =
-      Hashtbl.fold (fun tj d acc -> if d <= tau' then (tj, d) :: acc else acc) dist_cache []
+      Int_table.fold
+        (fun tj d acc -> if d <= tau' then (tj, d) :: acc else acc)
+        dist_cache []
       |> List.sort (fun (i1, d1) (i2, d2) ->
              if d1 <> d2 then compare d1 d2 else compare i1 i2)
     in

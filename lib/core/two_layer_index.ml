@@ -1,36 +1,36 @@
 module Binary_tree = Tsj_tree.Binary_tree
 module Label = Tsj_tree.Label
-
-type twig = int * int * int
+module Int_table = Tsj_util.Int_table
+module Twig_table = Tsj_util.Int_table.Triple
 
 type mode = Two_sided | Paper_rank | Label_only
 
-type group = (twig, Subgraph.t list ref) Hashtbl.t
+type group = Subgraph.t list ref Twig_table.t
 
 type t = {
   tau : int;
   mode : mode;
-  by_start : (int, group) Hashtbl.t; (* keyed by general postorder number *)
-  by_end : (int, group) Hashtbl.t;   (* keyed by (size - 1 - general postorder) *)
+  by_start : group Int_table.t; (* keyed by general postorder number *)
+  by_end : group Int_table.t;   (* keyed by (size - 1 - general postorder) *)
   mutable count : int;
 }
 
 let create ?(mode = Two_sided) ~tau () =
   if tau < 0 then invalid_arg "Two_layer_index.create: negative threshold";
-  { tau; mode; by_start = Hashtbl.create 64; by_end = Hashtbl.create 64; count = 0 }
+  { tau; mode; by_start = Int_table.create 64; by_end = Int_table.create 64; count = 0 }
 
 let add_to table post key s =
   let group =
-    match Hashtbl.find_opt table post with
+    match Int_table.find_opt table post with
     | Some g -> g
     | None ->
-      let g = Hashtbl.create 8 in
-      Hashtbl.add table post g;
+      let g = Twig_table.create 8 in
+      Int_table.add table post g;
       g
   in
-  match Hashtbl.find_opt group key with
+  match Twig_table.find_opt group key with
   | Some l -> l := s :: !l
-  | None -> Hashtbl.add group key (ref [ s ])
+  | None -> Twig_table.add group key (ref [ s ])
 
 let add_window table center half key s =
   for post = center - half to center + half do
@@ -73,15 +73,15 @@ let insert t (s : Subgraph.t) =
 let n_subgraphs t = t.count
 
 let n_groups t =
-  let count table = Hashtbl.fold (fun _ group acc -> acc + Hashtbl.length group) table 0 in
+  let count table = Int_table.fold (fun _ group acc -> acc + Twig_table.length group) table 0 in
   count t.by_start + count t.by_end
 
 let probe_table table post l ll lr f =
-  match Hashtbl.find_opt table post with
+  match Int_table.find_opt table post with
   | None -> ()
   | Some group ->
     let visit key =
-      match Hashtbl.find_opt group key with
+      match Twig_table.find_opt group key with
       | Some subs -> List.iter f !subs
       | None -> ()
     in

@@ -504,7 +504,12 @@ let dag config =
   let n = cardinality config profile in
   let trees = dataset config profile n in
   let tau = 3 in
-  let domains = if config.domains > 1 then config.domains else 4 in
+  (* At least 2 domains, so the cross-domain identity check runs even
+     on one core; at most the machine's, as more only adds contention. *)
+  let domains =
+    if config.domains > 1 then config.domains
+    else max 2 (min 4 (Tsj_join.Parallel.recommended_domains ()))
+  in
   (* Memory: the "before" side must not inherit the generator's physical
      fragment sharing (trees arriving from disk or the wire are fully
      materialized), so it measures deep copies; the "after" side is the
@@ -1382,12 +1387,16 @@ let replication config =
   let fo =
     Client.Failover.create ~timeout_s:2.0 ~rng [ addr 0; addr 1; addr 2 ]
   in
-  (* the client-side safe-retry ADD; "quorum not reached" while a
-     follower is still registering is retried here *)
-  let add_acked tree =
+  (* The safe-retry ADD of tree [i]: this is the only writer, so tree
+     [i] is sequence number [i], and every retry resends that seq (the
+     idempotency contract in [Protocol]).  "quorum not reached" while a
+     follower is still registering is retried here; that ADD stays
+     journaled on the primary, so a retry under a freshly learned seq
+     would store the tree twice. *)
+  let add_acked i =
     let deadline = Tsj_util.Timer.now () +. 30.0 in
     let rec go () =
-      match Client.Failover.add fo tree with
+      match Client.Failover.request fo (Protocol.Add { seq = Some i; tree = trees.(i) }) with
       | Ok (Protocol.Added { id; _ }) -> id
       | (Ok (Protocol.Err _) | Ok (Protocol.Fenced _) | Error _)
         when Tsj_util.Timer.now () < deadline ->
@@ -1400,11 +1409,11 @@ let replication config =
   in
   let preload = n / 2 in
   (* phase 1: quorum-acked writes into the healthy cluster *)
-  ignore (add_acked trees.(0));
+  ignore (add_acked 0);
   let (), pre_wall =
     Tsj_util.Timer.wall (fun () ->
         for i = 1 to preload - 1 do
-          ignore (add_acked trees.(i))
+          ignore (add_acked i)
         done)
   in
   let pre_rps = float_of_int (preload - 1) /. Float.max 1e-9 pre_wall in
@@ -1419,7 +1428,7 @@ let replication config =
    | Ok r -> fail ("PROMOTE failed: " ^ Protocol.render_response r)
    | Error msg -> fail ("PROMOTE failed: " ^ msg));
    Client.close conn);
-  let first_id = add_acked trees.(preload) in
+  let first_id = add_acked preload in
   let failover_latency = Tsj_util.Timer.now () -. t0 in
   if first_id <> preload then
     fail (Printf.sprintf "post-failover ADD got seq %d, expected %d" first_id preload);
@@ -1427,7 +1436,7 @@ let replication config =
   let (), post_wall =
     Tsj_util.Timer.wall (fun () ->
         for i = preload + 1 to n - 1 do
-          ignore (add_acked trees.(i))
+          ignore (add_acked i)
         done)
   in
   let post_rps = float_of_int (n - preload - 1) /. Float.max 1e-9 post_wall in

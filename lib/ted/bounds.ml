@@ -71,7 +71,7 @@ module Compiled = struct
   let degree_bound a b = (Multiset.symmetric_difference_size a.degrees b.degrees + 2) / 3
 
   let traversal_bound a b =
-    max (String_edit.distance a.mpost b.mpost) (String_edit.distance a.post b.post)
+    Int.max (String_edit.distance a.mpost b.mpost) (String_edit.distance a.post b.post)
 
   (* The Euler tour (each node's label on entry and on exit), rebuilt
      from the mirror's arrays: not kept in [t], as only [best] needs
@@ -98,7 +98,7 @@ module Compiled = struct
   let euler_bound a b = (String_edit.distance (euler a) (euler b) + 1) / 2
 
   let best a b =
-    List.fold_left max 0
+    List.fold_left Int.max 0
       [
         size_bound a b;
         label_bound a b;
@@ -157,11 +157,11 @@ module Compiled = struct
       let l = label_bound a b in
       if l > tau then Pruned Labels
       else begin
-        let lb = max lb l in
+        let lb = Int.max lb l in
         let d = degree_bound a b in
         if d > tau then Pruned Degrees
         else begin
-          let lb = max lb d in
+          let lb = Int.max lb d in
           (* Banded traversal SED: each tree edit operation edits the
              preorder (resp. postorder) label sequence in exactly one
              position, so both are TED lower bounds; within the band the
@@ -172,7 +172,7 @@ module Compiled = struct
             let s2 = String_edit.bounded_distance a.post b.post tau in
             if s2 > tau then Pruned Sed
             else begin
-              let lb = max lb (max s1 s2) in
+              let lb = Int.max lb (Int.max s1 s2) in
               let ub = upper a b in
               if ub = lb then
                 (* The bounds sandwich closes: lb <= TED <= ub = lb, so

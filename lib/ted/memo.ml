@@ -13,8 +13,10 @@
    counters are global atomics that [Partsj] snapshots into the join
    statistics. *)
 
+module Table = Tsj_util.Int_table.Triple
+
 type t = {
-  results : (int * int * int, int) Hashtbl.t;
+  results : int Table.t;
   max_results : int;
 }
 
@@ -22,7 +24,7 @@ let default_results = 1 lsl 16
 
 let create ?(results = default_results) () =
   if results < 1 then invalid_arg "Memo.create: results must be >= 1";
-  { results = Hashtbl.create 1024; max_results = results }
+  { results = Table.create 1024; max_results = results }
 
 let key = Domain.DLS.new_key (fun () -> create ())
 
@@ -33,7 +35,7 @@ let hits = Atomic.make 0
 let misses = Atomic.make 0
 
 let find_result t ~id1 ~id2 ~k =
-  match Hashtbl.find_opt t.results (id1, id2, k) with
+  match Table.find_opt t.results (id1, id2, k) with
   | Some v ->
     Atomic.incr hits;
     Some v
@@ -42,7 +44,7 @@ let find_result t ~id1 ~id2 ~k =
     None
 
 let add_result t ~id1 ~id2 ~k v =
-  if Hashtbl.length t.results >= t.max_results then Hashtbl.reset t.results;
-  Hashtbl.replace t.results (id1, id2, k) v
+  if Table.length t.results >= t.max_results then Table.reset t.results;
+  Table.replace t.results (id1, id2, k) v
 
-let results t = Hashtbl.length t.results
+let results t = Table.length t.results

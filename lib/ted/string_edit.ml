@@ -1,4 +1,11 @@
-let distance a b =
+(* Both DPs are typed at [int array] and use the [int] [min]/[max]
+   below: left polymorphic, every cell would make an out-of-line
+   [caml_equal] and [Stdlib.min] call (there is no flambda to inline
+   them). *)
+let min = Int.min
+let max = Int.max
+
+let distance (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   if la = 0 then lb
   else if lb = 0 then la
@@ -29,7 +36,7 @@ let distance a b =
    per-call allocation of the rows used to be most of its cost.  Every
    slot of both rows is (re)initialized below, so stale arena contents
    are never observed. *)
-let bounded_distance a b k =
+let bounded_distance (a : int array) (b : int array) k =
   if k < 0 then invalid_arg "String_edit.bounded_distance: negative threshold";
   let la = Array.length a and lb = Array.length b in
   if abs (la - lb) > k then k + 1

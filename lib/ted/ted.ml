@@ -74,7 +74,7 @@ let distance ?algorithm t1 t2 =
 
 let bounded_distance_prep ?(algorithm = Hybrid) p1 p2 k =
   match algorithm with
-  | Naive -> min (Naive.distance p1.tree p2.tree) (k + 1)
+  | Naive -> Int.min (Naive.distance p1.tree p2.tree) (k + 1)
   | Zs_left | Zs_right | Hybrid ->
     let kernel () =
       let a, b = kernel_input algorithm p1 p2 in

@@ -1,5 +1,10 @@
 module Postorder = Tsj_tree.Postorder
 
+(* Monomorphic [min]/[max]: without flambda, [Stdlib.min] is an
+   out-of-line polymorphic call, and the DP makes one or two per cell. *)
+let min = Int.min
+let max = Int.max
+
 (* DP scratch.
 
    The two tables of the Zhang–Shasha DP — treedist (n1 × n2) and the

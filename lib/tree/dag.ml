@@ -15,6 +15,8 @@
    only from one domain at a time (joins intern sequentially before
    fanning out; the parallel phases only read the resulting nodes). *)
 
+module Int_table = Tsj_util.Int_table
+
 type node = {
   id : int;          (* globally unique across all stores *)
   label : Label.t;
@@ -25,7 +27,7 @@ type node = {
 }
 
 type t = {
-  table : (int, node list) Hashtbl.t; (* hash -> bucket *)
+  table : node list Int_table.t; (* hash -> bucket *)
   mask : int;
   mutable distinct : int; (* nodes created by this store *)
   mutable total : int;    (* subtree intern requests (sum of tree sizes) *)
@@ -41,7 +43,7 @@ let create ?hash_bits () =
       if b < 1 || b > 62 then invalid_arg "Dag.create: hash_bits must be in 1..62";
       (1 lsl b) - 1
   in
-  { table = Hashtbl.create 1024; mask; distinct = 0; total = 0 }
+  { table = Int_table.create 1024; mask; distinct = 0; total = 0 }
 
 let hash_parts t label children =
   let h =
@@ -76,7 +78,7 @@ let rec find_in_bucket label children = function
 let intern_node t label (children : node array) =
   t.total <- t.total + 1;
   let h = hash_parts t label children in
-  let bucket = try Hashtbl.find t.table h with Not_found -> [] in
+  let bucket = try Int_table.find t.table h with Not_found -> [] in
   match find_in_bucket label children bucket with
   | Some n -> n
   | None ->
@@ -87,7 +89,7 @@ let intern_node t label (children : node array) =
     let n =
       { id = Atomic.fetch_and_add next_id 1; label; children; size; hash = h; tree }
     in
-    Hashtbl.replace t.table h (n :: bucket);
+    Int_table.replace t.table h (n :: bucket);
     t.distinct <- t.distinct + 1;
     n
 
@@ -109,7 +111,7 @@ let rec find t (tr : Tree.t) =
   | Some rev_kids ->
     let children = Array.of_list (List.rev rev_kids) in
     let h = hash_parts t tr.label children in
-    let bucket = Option.value (Hashtbl.find_opt t.table h) ~default:[] in
+    let bucket = Option.value (Int_table.find_opt t.table h) ~default:[] in
     List.find_opt (same_node tr.label children) bucket
 
 let tree n = n.tree

@@ -8,7 +8,7 @@ type t = {
 (* A node is an LR-keyroot iff no proper ancestor shares its lld; i.e. it
    is the highest node of its left path.  Equivalently: the root, plus
    every node that is not the leftmost child of its parent. *)
-let keyroots_of n lld parent =
+let keyroots_of n (lld : int array) parent =
   let acc = Tsj_util.Vec_int.create () in
   for i = 0 to n - 1 do
     let p = parent.(i) in

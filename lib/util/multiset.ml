@@ -1,11 +1,16 @@
 type t = int array
 
-let of_unsorted a =
+(* Every function is annotated at [int array]: left polymorphic, the
+   comparisons in the merge walks and the binary search compile to
+   out-of-line [caml_lessthan] / [caml_compare] calls, and these walks
+   run on every candidate pair of the join's filter cascade. *)
+
+let of_unsorted (a : int array) =
   let b = Array.copy a in
-  Array.sort compare b;
+  Array.sort Int.compare b;
   b
 
-let of_sorted a =
+let of_sorted (a : int array) =
   for i = 1 to Array.length a - 1 do
     if a.(i - 1) > a.(i) then invalid_arg "Multiset.of_sorted: not sorted"
   done;
@@ -13,7 +18,7 @@ let of_sorted a =
 
 let size = Array.length
 
-let inter_size a b =
+let inter_size (a : int array) (b : int array) =
   let na = Array.length a and nb = Array.length b in
   let rec go i j acc =
     if i >= na || j >= nb then acc
@@ -29,7 +34,7 @@ let symmetric_difference_size a b =
   Array.length a + Array.length b - (2 * inter_size a b)
 
 (* Standard binary search for the leftmost occurrence. *)
-let lower_bound a x =
+let lower_bound (a : int array) x =
   let rec go lo hi =
     if lo >= hi then lo
     else
@@ -38,11 +43,11 @@ let lower_bound a x =
   in
   go 0 (Array.length a)
 
-let mem a x =
+let mem (a : int array) x =
   let i = lower_bound a x in
   i < Array.length a && a.(i) = x
 
-let count a x =
+let count (a : int array) x =
   let i = ref (lower_bound a x) in
   let c = ref 0 in
   while !i < Array.length a && a.(!i) = x do

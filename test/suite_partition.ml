@@ -394,6 +394,153 @@ let test_index_exact_duplicate_found () =
   Alcotest.(check bool) "different tree not matched" false
     (probe_matches (t "{a{b{x}}{d}}"))
 
+(* The index probe against a list-based reference of the two-layer
+   lookup.  The reference keeps every (table, position, twig key,
+   subgraph) registration in one list, newest first, and scans it in the
+   order [Band_index.probe] visits the hash tables: sizes ascending, the
+   overflow list, then per node the start table and the end table, each
+   under the four compatible twig keys.  Ids, their order and every
+   counter must agree, so a change to the tables' implementation cannot
+   move the join's candidates. *)
+module Band_index = Tsj_core.Band_index
+module Label = Tsj_tree.Label
+
+type registration = {
+  r_size : int;
+  r_end : bool; (* registered in the end-relative table *)
+  r_post : int;
+  r_key : int * int * int;
+  r_sub : Subgraph.t;
+}
+
+let registrations mode ~tau ~size (s : Subgraph.t) =
+  let pk = s.Subgraph.root_gpost in
+  let qk = s.Subgraph.tree_size - 1 - pk in
+  let window r_end center half =
+    List.filter_map
+      (fun post ->
+        if post >= 0 then
+          Some { r_size = size; r_end; r_post = post; r_key = Subgraph.label_key s; r_sub = s }
+        else None)
+      (List.init (max 0 ((2 * half) + 1)) (fun i -> center - half + i))
+  in
+  match mode with
+  | Two_layer_index.Two_sided -> window false pk (tau / 2) @ window true qk (tau / 2)
+  | Two_layer_index.Paper_rank -> window true qk (tau - (s.Subgraph.rank / 2))
+  | Two_layer_index.Label_only -> window false 0 0
+
+let reference_probe mode regs smalls ~lo ~hi (b : Binary_tree.t) =
+  let checked = ref [] and ids = ref [] in
+  let probed = ref 0 and matched = ref 0 and small_hits = ref 0 in
+  let found tj =
+    checked := tj :: !checked;
+    ids := tj :: !ids
+  in
+  let child lane v = if lane.(v) < 0 then Label.epsilon else b.Binary_tree.label.(lane.(v)) in
+  for size = max 1 lo to hi do
+    List.iter
+      (fun (sz, tj) ->
+        if sz = size && not (List.mem tj !checked) then begin
+          incr small_hits;
+          found tj
+        end)
+      smalls;
+    if List.exists (fun r -> r.r_size = size) regs then
+      for v = 0 to b.Binary_tree.size - 1 do
+        let l = b.Binary_tree.label.(v) in
+        let ll = child b.Binary_tree.left v and lr = child b.Binary_tree.right v in
+        let eps = Label.epsilon in
+        let keys =
+          [ (l, ll, lr) ]
+          @ (if lr <> eps then [ (l, ll, eps) ] else [])
+          @ (if ll <> eps then [ (l, eps, lr) ] else [])
+          @ if ll <> eps || lr <> eps then [ (l, eps, eps) ] else []
+        in
+        let p = b.Binary_tree.gpost.(v) in
+        let cells =
+          match mode with
+          | Two_layer_index.Label_only -> [ (false, 0) ]
+          | Two_layer_index.Two_sided | Two_layer_index.Paper_rank ->
+            [ (false, p); (true, b.Binary_tree.size - 1 - p) ]
+        in
+        List.iter
+          (fun (r_end, post) ->
+            List.iter
+              (fun key ->
+                List.iter
+                  (fun r ->
+                    if r.r_size = size && r.r_end = r_end && r.r_post = post && r.r_key = key
+                    then begin
+                      incr probed;
+                      let tj = r.r_sub.Subgraph.tree_id in
+                      if (not (List.mem tj !checked)) && Subgraph.matches r.r_sub b v then begin
+                        incr matched;
+                        found tj
+                      end
+                    end)
+                  regs)
+              keys)
+          cells
+      done
+  done;
+  (List.rev !ids, !probed, !matched, !small_hits)
+
+(* Streams profile-shaped trees (about 12 nodes, so sizes collide and
+   sub-delta trees occur) through a [Band_index] and the reference:
+   probe each tree over its size band, then index it. *)
+let prop_band_probe_reference =
+  let profiles = Array.of_list Tsj_datagen.Profiles.all in
+  Gen.qtest ~count:40 "band index probe = list reference"
+    QCheck.(pair (int_bound 100_000) (int_bound (Array.length profiles - 1)))
+    (fun (seed, pi) ->
+      let profile = profiles.(pi) in
+      let params =
+        { profile.Tsj_datagen.Profiles.params with Tsj_datagen.Generator.avg_size = 12 }
+      in
+      let trees =
+        Tsj_datagen.Profiles.instantiate
+          { profile with Tsj_datagen.Profiles.params }
+          ~seed ~n:16
+      in
+      List.for_all
+        (fun (tau, mode) ->
+          let idx = Band_index.create ~mode ~tau () in
+          let regs = ref [] and smalls = ref [] in
+          let delta = (2 * tau) + 1 in
+          Array.iteri
+            (fun id tree ->
+              let b = Binary_tree.of_tree tree in
+              let size = b.Binary_tree.size in
+              let lo = size - tau and hi = size + tau in
+              let got =
+                Band_index.probe idx ~lo ~hi b (lazy (Two_layer_index.cursor b))
+              in
+              let ids, probed, matched, small_hits =
+                reference_probe mode !regs !smalls ~lo ~hi b
+              in
+              if
+                got.Band_index.ids <> ids
+                || got.Band_index.probed <> probed
+                || got.Band_index.matched <> matched
+                || got.Band_index.small_hits <> small_hits
+              then
+                QCheck.Test.fail_reportf "tau=%d tree %d: probe differs from the reference"
+                  tau id;
+              ignore (Band_index.add idx ~id b);
+              if size < delta then smalls := (size, id) :: !smalls
+              else
+                Array.iter
+                  (fun s -> regs := List.rev_append (registrations mode ~tau ~size s) !regs)
+                  (Subgraph.of_partition ~tree_id:id (Partition.partition b ~delta)))
+            trees;
+          true)
+        (List.concat_map
+           (fun tau ->
+             List.map
+               (fun mode -> (tau, mode))
+               Two_layer_index.[ Two_sided; Paper_rank; Label_only ])
+           [ 1; 2; 3 ]))
+
 let suite =
   [
     Alcotest.test_case "partitionable chain" `Quick test_partitionable_chain;
@@ -418,4 +565,5 @@ let suite =
     Alcotest.test_case "index counters" `Quick test_index_counters;
     Alcotest.test_case "index rejects negative tau" `Quick test_index_rejects_negative_tau;
     Alcotest.test_case "index exact duplicates (tau=0)" `Quick test_index_exact_duplicate_found;
+    prop_band_probe_reference;
   ]

@@ -206,6 +206,30 @@ let test_statistics_histogram () =
   let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
   Alcotest.(check int) "all counted" 4 total
 
+(* Every [Multiset] query against a naive list-based reference, on bags
+   with negatives, duplicates and empty sides. *)
+let prop_multiset_reference =
+  let bag = QCheck.(list_of_size Gen.(int_bound 12) (int_range (-4) 4)) in
+  Gen.qtest ~count:500 "multiset matches list reference"
+    QCheck.(triple bag bag (int_range (-5) 5))
+    (fun (xs, ys, x) ->
+      let a = Multiset.of_unsorted (Array.of_list xs) in
+      let b = Multiset.of_unsorted (Array.of_list ys) in
+      let count l v = List.length (List.filter (( = ) v) l) in
+      let values = List.sort_uniq compare (xs @ ys) in
+      let inter = List.fold_left (fun acc v -> acc + min (count xs v) (count ys v)) 0 values in
+      let union = List.fold_left (fun acc v -> acc + max (count xs v) (count ys v)) 0 values in
+      let symdiff =
+        List.fold_left (fun acc v -> acc + abs (count xs v - count ys v)) 0 values
+      in
+      Multiset.inter_size a b = inter
+      && Multiset.union_size a b = union
+      && Multiset.symmetric_difference_size a b = symdiff
+      && Multiset.mem a x = List.mem x xs
+      && Multiset.count a x = count xs x
+      && Multiset.size a = List.length xs
+      && Multiset.to_array a = Array.of_list (List.sort compare xs))
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -233,4 +257,5 @@ let suite =
     Alcotest.test_case "statistics basic" `Quick test_statistics_basic;
     Alcotest.test_case "statistics percentile" `Quick test_statistics_percentile;
     Alcotest.test_case "statistics histogram" `Quick test_statistics_histogram;
+    prop_multiset_reference;
   ]
