@@ -110,7 +110,7 @@ val join :
     filter cascade of {!Tsj_ted.Bounds.Compiled} in front of the kernel
     — the {!Verifier} every search and serving path shares:
     precompiled lower bounds cheapest-first with short-circuit
-    (size → label histogram → degree histogram → banded traversal SED),
+    (size → label histogram → banded traversal SED),
     then the greedy-mapping upper bound, which early-accepts a pair whose
     bound sandwich closes and otherwise shrinks the kernel band below τ.
     Every stage is lossless, so pairs {e and} distances are bit-identical

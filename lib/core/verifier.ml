@@ -10,7 +10,7 @@ let of_tree tree = of_prep (Ted.preprocess tree)
 
 let tree f = Ted.tree f.prep
 
-type stage = Size | Labels | Degrees | Sed | Early | Kernel | Quarantined
+type stage = Size | Labels | Sed | Early | Kernel | Quarantined
 
 module Tally = struct
   type t = int Atomic.t array
@@ -18,13 +18,12 @@ module Tally = struct
   let slot = function
     | Size -> 0
     | Labels -> 1
-    | Degrees -> 2
-    | Sed -> 3
-    | Early -> 4
-    | Kernel -> 5
-    | Quarantined -> 6
+    | Sed -> 2
+    | Early -> 3
+    | Kernel -> 4
+    | Quarantined -> 5
 
-  let slots = 7
+  let slots = 6
 
   let create () = Array.init slots (fun _ -> Atomic.make 0)
 
@@ -42,7 +41,7 @@ module Tally = struct
     {
       Tsj_join.Types.pruned_size = get Size;
       pruned_labels = get Labels;
-      pruned_degrees = get Degrees;
+      pruned_degrees = 0;
       pruned_sed = get Sed;
       early_accepted = get Early;
       kernel_verified = get Kernel;
@@ -72,7 +71,6 @@ let verify ?metric ?(mode = Cascade) ?(admit = always) ~tau a b =
       match Compiled.cascade ~tau a.bounds b.bounds with
       | Compiled.Pruned Compiled.Size -> Decided (tau + 1, Size)
       | Compiled.Pruned Compiled.Labels -> Decided (tau + 1, Labels)
-      | Compiled.Pruned Compiled.Degrees -> Decided (tau + 1, Degrees)
       | Compiled.Pruned Compiled.Sed -> Decided (tau + 1, Sed)
       | Compiled.Accept d -> Decided (d, Early)
       | Compiled.Verify { band } -> kernel band)

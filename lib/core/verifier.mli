@@ -44,7 +44,6 @@ val tree : form -> Tsj_tree.Tree.t
 type stage =
   | Size  (** pruned by the size lower bound *)
   | Labels  (** pruned by the label-histogram lower bound *)
-  | Degrees  (** pruned by the degree-histogram lower bound *)
   | Sed  (** pruned by the banded traversal-SED lower bound *)
   | Early  (** equal consed roots, or the bound sandwich closed *)
   | Kernel  (** decided by the exact banded kernel *)

@@ -328,6 +328,30 @@ let parallel config =
 
 (* --- end-to-end phase benchmark + machine-readable record --- *)
 
+(* Each join of [runs], timed as the best of three repetitions by
+   attributed verify time, with the order of the runs reversed every
+   other round so that none always goes first.  Every repetition is a
+   fully cold join — a fresh Dag store mints fresh ids, so the result
+   cache never carries anything over — and the heap is levelled first;
+   the repetitions only damp scheduler and GC noise, they never warm a
+   cache.  Returns each run's best result with its wall time. *)
+let best_of_three ~verify_time runs =
+  let n = Array.length runs in
+  let best = Array.make n None in
+  for round = 0 to 2 do
+    for i = 0 to n - 1 do
+      let k = if round mod 2 = 0 then i else n - 1 - i in
+      Gc.compact ();
+      let r, wall = Tsj_util.Timer.wall runs.(k) in
+      match best.(k) with
+      | Some (prev, _) when verify_time prev <= verify_time r -> ()
+      | _ -> best.(k) <- Some (r, wall)
+    done
+  done;
+  Array.map Option.get best
+
+let verify_time_s (o : Types.output) = o.Types.stats.Types.verify_time_s
+
 let perf config =
   Table.heading ~out:config.out
     "PartSJ end-to-end phase benchmark (fig10-style synthetic, tau = 3)";
@@ -337,22 +361,26 @@ let perf config =
   let tau = 3 in
   let rec_domains = Tsj_join.Parallel.recommended_domains () in
   let domains = if config.domains > 1 then config.domains else rec_domains in
-  let run ~cascade d =
+  let run ~cascade d () =
     let phases = ref None in
-    let (output, pstats), wall =
-      Tsj_util.Timer.wall (fun () ->
-          Tsj_core.Partsj.join_with_probe_stats ~domains:d ~cascade
-            ~on_phases:(fun p -> phases := Some p)
-            ~trees ~tau ())
+    let output, pstats =
+      Tsj_core.Partsj.join_with_probe_stats ~domains:d ~cascade
+        ~on_phases:(fun p -> phases := Some p)
+        ~trees ~tau ()
     in
-    (output, pstats, Option.get !phases, wall)
+    (output, pstats, Option.get !phases)
   in
   (* Before/after in one invocation: [cascade:false] is the seed verifier
      (banded preorder-SED prefilter + τ-banded kernel), the other two runs
      exercise the full filter cascade at one and [domains] domains. *)
-  let ob, pb, phb, wb = run ~cascade:false 1 in
-  let o1, p1, ph1, w1 = run ~cascade:true 1 in
-  let oN, pN, phN, wN = run ~cascade:true domains in
+  let best =
+    best_of_three
+      ~verify_time:(fun (o, _, _) -> verify_time_s o)
+      [| run ~cascade:false 1; run ~cascade:true 1; run ~cascade:true domains |]
+  in
+  let (ob, pb, phb), wb = best.(0) in
+  let (o1, p1, ph1), w1 = best.(1) in
+  let (oN, pN, phN), wN = best.(2) in
   let consistent (o : Types.output) =
     let s = o.Types.stats in
     Types.cascade_total s.Types.cascade = s.Types.n_candidates
@@ -398,7 +426,6 @@ let perf config =
       label;
       Table.count c.Types.pruned_size;
       Table.count c.Types.pruned_labels;
-      Table.count c.Types.pruned_degrees;
       Table.count c.Types.pruned_sed;
       Table.count c.Types.early_accepted;
       Table.count c.Types.kernel_verified;
@@ -406,8 +433,8 @@ let perf config =
   in
   printf config "\n  Per-stage cascade decisions (partition the candidate set):\n";
   Table.print ~out:config.out
-    ~header:[ "run"; "size"; "labels"; "degrees"; "sed"; "early"; "kernel" ]
-    ~align:[ Table.Left; Right; Right; Right; Right; Right; Right ]
+    ~header:[ "run"; "size"; "labels"; "sed"; "early"; "kernel" ]
+    ~align:[ Table.Left; Right; Right; Right; Right; Right ]
     [
       cascade_row "cascade off, 1 dom" ob;
       cascade_row "cascade on, 1 dom" o1;
@@ -447,7 +474,6 @@ let perf config =
       \      \"n_results\": %d,\n\
       \      \"pruned_size\": %d,\n\
       \      \"pruned_labels\": %d,\n\
-      \      \"pruned_degrees\": %d,\n\
       \      \"pruned_sed\": %d,\n\
       \      \"early_accepted\": %d,\n\
       \      \"kernel_verified\": %d\n\
@@ -455,8 +481,8 @@ let perf config =
       label d cascade ph.Tsj_core.Partsj.prep_wall_s
       ph.Tsj_core.Partsj.sweep_wall_s wall s.Types.candidate_time_s
       s.Types.verify_time_s s.Types.n_candidates s.Types.n_results
-      c.Types.pruned_size c.Types.pruned_labels c.Types.pruned_degrees
-      c.Types.pruned_sed c.Types.early_accepted c.Types.kernel_verified
+      c.Types.pruned_size c.Types.pruned_labels c.Types.pruned_sed
+      c.Types.early_accepted c.Types.kernel_verified
   in
   let oc = open_out config.bench_json in
   Printf.fprintf oc
@@ -533,28 +559,10 @@ let dag config =
   printf config
     "  resident set: %d words unshared -> %d words interned (%.2fx smaller)\n"
     words_unshared words_shared memory_ratio;
-  let run d =
-    (* Best of three repetitions, by attributed verify time.  Every
-       repetition is a fully cold join — a fresh Dag store mints fresh
-       ids, so the result cache never carries anything over — and the
-       heap is levelled first; the repetitions only damp scheduler and
-       GC noise, they never warm a cache. *)
-    let best = ref None in
-    for _ = 1 to 3 do
-      Gc.compact ();
-      let output, wall =
-        Tsj_util.Timer.wall (fun () -> Tsj_core.Partsj.join ~domains:d ~trees ~tau ())
-      in
-      match !best with
-      | Some ((prev : Types.output), _)
-        when prev.Types.stats.Types.verify_time_s
-             <= output.Types.stats.Types.verify_time_s -> ()
-      | _ -> best := Some (output, wall)
-    done;
-    Option.get !best
-  in
-  let o1, w1 = run 1 in
-  let oN, wN = run domains in
+  let run d () = Tsj_core.Partsj.join ~domains:d ~trees ~tau () in
+  let best = best_of_three ~verify_time:verify_time_s [| run 1; run domains |] in
+  let o1, w1 = best.(0) in
+  let oN, wN = best.(1) in
   let memo (o : Types.output) =
     let c = o.Types.stats.Types.cascade in
     (c.Types.memo_hits, c.Types.memo_misses)

@@ -53,7 +53,7 @@ let empty_cascade =
    count whole-pair result-cache lookups inside the kernel, not
    candidate decisions. *)
 let cascade_total c =
-  c.pruned_size + c.pruned_labels + c.pruned_degrees + c.pruned_sed
+  c.pruned_size + c.pruned_labels + c.pruned_sed
   + c.early_accepted + c.kernel_verified + c.quarantined
 
 (* Memo hit/miss counts depend on verification scheduling (which domain
@@ -106,8 +106,8 @@ let pp_stats fmt s =
   let c = s.cascade in
   if cascade_total c > 0 then begin
     Format.fprintf fmt
-      " cascade=[size:%d labels:%d degrees:%d sed:%d early:%d kernel:%d"
-      c.pruned_size c.pruned_labels c.pruned_degrees c.pruned_sed c.early_accepted
+      " cascade=[size:%d labels:%d sed:%d early:%d kernel:%d"
+      c.pruned_size c.pruned_labels c.pruned_sed c.early_accepted
       c.kernel_verified;
     if c.quarantined > 0 then Format.fprintf fmt " quarantined:%d" c.quarantined;
     Format.pp_print_string fmt "]"

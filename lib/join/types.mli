@@ -55,7 +55,10 @@ val pp_quarantined : Format.formatter -> quarantined -> unit
 type cascade = {
   pruned_size : int;  (** rejected by the size lower bound *)
   pruned_labels : int;  (** rejected by the label-histogram lower bound *)
-  pruned_degrees : int;  (** rejected by the degree-histogram lower bound *)
+  pruned_degrees : int;
+      (** Always 0: the cascade has no degree-histogram stage.  Kept
+          because the repository benchmark ([perfbench/w_join.ml]) sums
+          it. *)
   pruned_sed : int;  (** rejected by the banded traversal-SED lower bound *)
   early_accepted : int;
       (** admitted without a kernel run: the lower and upper bounds met *)

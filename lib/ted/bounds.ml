@@ -1,13 +1,12 @@
 module Tree = Tsj_tree.Tree
 module Postorder = Tsj_tree.Postorder
-module Traversal = Tsj_tree.Traversal
 module Multiset = Tsj_util.Multiset
 
 (* --- compiled per-tree forms --- *)
 
 module Compiled = struct
-  (* Five int arrays of [size] entries, about 5 words per node — and
-     only the two sorted multisets of them are the form's own when it is
+  (* Four int arrays of [size] entries, about 4 words per node — and
+     only the sorted label multiset of them is the form's own when it is
      compiled from a TED preparation ({!of_prep}): [post] (postorder
      labels of the tree), [mpost] and [mlld] (postorder labels and
      leftmost-leaf descendants of its mirror image) are the very arrays
@@ -19,32 +18,15 @@ module Compiled = struct
      of the mirror — its last child is [p - 1], the child before child
      [c] is [mlld.(c) - 1], until [mlld.(p)] — visits [p]'s children in
      the tree's own left-to-right order, which is all the greedy upper
-     bound and the Euler tour need. *)
-  type t = {
-    labels : Multiset.t;
-    degrees : Multiset.t;
-    post : int array;
-    mpost : int array;
-    mlld : int array;
-  }
+     bound, the degree bag and the Euler tour need. *)
+  type t = { labels : Multiset.t; post : int array; mpost : int array; mlld : int array }
 
   let of_postorders ~(tree : Postorder.t) ~(mirror : Postorder.t) =
-    let n = tree.size in
-    let mlld = mirror.lld in
-    let degs = Array.make n 0 in
-    for p = 0 to n - 1 do
-      let c = ref (p - 1) in
-      while !c >= mlld.(p) do
-        degs.(p) <- degs.(p) + 1;
-        c := mlld.(!c) - 1
-      done
-    done;
     {
       labels = Multiset.of_unsorted tree.labels;
-      degrees = Multiset.of_unsorted degs;
       post = tree.labels;
       mpost = mirror.labels;
-      mlld;
+      mlld = mirror.lld;
     }
 
   let of_tree tree =
@@ -68,14 +50,27 @@ module Compiled = struct
 
   let label_bound a b = (Multiset.symmetric_difference_size a.labels b.labels + 1) / 2
 
-  let degree_bound a b = (Multiset.symmetric_difference_size a.degrees b.degrees + 2) / 3
-
   let traversal_bound a b =
     Int.max (String_edit.distance a.mpost b.mpost) (String_edit.distance a.post b.post)
 
+  (* The degree bag, counted from the mirror's arrays: not kept in [t],
+     as only [best] needs it. *)
+  let degrees c =
+    let degs = Array.make (size c) 0 in
+    for p = 0 to size c - 1 do
+      let child = ref (p - 1) in
+      while !child >= c.mlld.(p) do
+        degs.(p) <- degs.(p) + 1;
+        child := c.mlld.(!child) - 1
+      done
+    done;
+    Multiset.of_unsorted degs
+
+  let degree_bound a b =
+    (Multiset.symmetric_difference_size (degrees a) (degrees b) + 2) / 3
+
   (* The Euler tour (each node's label on entry and on exit), rebuilt
-     from the mirror's arrays: not kept in [t], as only [best] needs
-     it. *)
+     from the mirror's arrays: not kept in [t] either. *)
   let euler c =
     let tour = Array.make (2 * size c) 0 in
     let k = ref 0 in
@@ -139,7 +134,7 @@ module Compiled = struct
 
   (* --- the verification filter cascade --- *)
 
-  type stage = Size | Labels | Degrees | Sed
+  type stage = Size | Labels | Sed
 
   type outcome =
     | Pruned of stage
@@ -158,73 +153,35 @@ module Compiled = struct
       if l > tau then Pruned Labels
       else begin
         let lb = Int.max lb l in
-        let d = degree_bound a b in
-        if d > tau then Pruned Degrees
+        (* Banded traversal SED: each tree edit operation edits the
+           preorder (resp. postorder) label sequence in exactly one
+           position, so both are TED lower bounds; within the band the
+           returned values are exact. *)
+        let s1 = String_edit.bounded_distance a.mpost b.mpost tau in
+        if s1 > tau then Pruned Sed
         else begin
-          let lb = Int.max lb d in
-          (* Banded traversal SED: each tree edit operation edits the
-             preorder (resp. postorder) label sequence in exactly one
-             position, so both are TED lower bounds; within the band the
-             returned values are exact. *)
-          let s1 = String_edit.bounded_distance a.mpost b.mpost tau in
-          if s1 > tau then Pruned Sed
+          let s2 = String_edit.bounded_distance a.post b.post tau in
+          if s2 > tau then Pruned Sed
           else begin
-            let s2 = String_edit.bounded_distance a.post b.post tau in
-            if s2 > tau then Pruned Sed
-            else begin
-              let lb = Int.max lb (Int.max s1 s2) in
-              let ub = upper a b in
-              if ub = lb then
-                (* The bounds sandwich closes: lb <= TED <= ub = lb, so
-                   the exact distance is known without running the
-                   kernel (and it also pins every metric between TED and
-                   the greedy script's cost, e.g. the constrained
-                   distance). *)
-                Accept lb
-              else if ub <= tau then
-                (* The pair is certainly a result (TED <= ub <= τ), but
-                   the exact distance is still needed: run the kernel
-                   with the band shrunk to ub - 1.  The banded kernel
-                   returns min(TED, band + 1) = min(TED, ub) = TED. *)
-                Verify { band = ub - 1 }
-              else Verify { band = tau }
-            end
+            let lb = Int.max lb (Int.max s1 s2) in
+            let ub = upper a b in
+            if ub = lb then
+              (* The bounds sandwich closes: lb <= TED <= ub = lb, so
+                 the exact distance is known without running the
+                 kernel (and it also pins every metric between TED and
+                 the greedy script's cost, e.g. the constrained
+                 distance). *)
+              Accept lb
+            else if ub <= tau then
+              (* The pair is certainly a result (TED <= ub <= τ), but
+                 the exact distance is still needed: run the kernel
+                 with the band shrunk to ub - 1.  The banded kernel
+                 returns min(TED, band + 1) = min(TED, ub) = TED. *)
+              Verify { band = ub - 1 }
+            else Verify { band = tau }
           end
         end
       end
     end
 end
 
-(* --- per-pair convenience entry points ---
-
-   These compile both trees on every call; they exist for tests, ad-hoc
-   exploration and the baselines' one-shot filters.
-
-   @deprecated for join inner loops — compile each tree once with
-   {!Compiled.of_tree} during preprocessing and use the pairwise
-   functions above instead. *)
-
-let size t1 t2 = abs (Tree.size t1 - Tree.size t2)
-
-let compiled_pair f t1 t2 = f (Compiled.of_tree t1) (Compiled.of_tree t2)
-
-let label_histogram t1 t2 = compiled_pair Compiled.label_bound t1 t2
-
-let degree_histogram t1 t2 = compiled_pair Compiled.degree_bound t1 t2
-
-let preorder_string t1 t2 =
-  String_edit.distance (Traversal.preorder_labels t1) (Traversal.preorder_labels t2)
-
-let postorder_string t1 t2 =
-  String_edit.distance (Traversal.postorder_labels t1) (Traversal.postorder_labels t2)
-
-let traversal t1 t2 = compiled_pair Compiled.traversal_bound t1 t2
-
-let euler_string t1 t2 = compiled_pair Compiled.euler_bound t1 t2
-
-(* Compiles each tree once and evaluates all bounds on the shared
-   compiled forms (the seed version recomputed the traversals and bags
-   once per bound). *)
-let best t1 t2 = compiled_pair Compiled.best t1 t2
-
-let upper t1 t2 = compiled_pair Compiled.upper t1 t2

@@ -17,15 +17,22 @@
     - preorder / postorder strings: Guha et al. — each operation edits the
       traversal label sequence in exactly one position;
     - Euler string: Akutsu et al. — each operation edits the Euler tour in
-      at most two positions. *)
+      at most two positions.
+
+    The cascade ({!Compiled.cascade}) runs the size, label-histogram and
+    traversal-string bounds.  The degree-histogram and Euler-string
+    bounds only join {!Compiled.best}, the lower end of the sandwich a
+    pair left unverified is answered with: after the label histogram,
+    the banded traversal SED prunes nearly every pair the degree bag
+    would. *)
 
 (** Per-tree forms compiled once (during join preprocessing, or at
-    insert for a served tree) so that the pairwise bounds run with zero
-    per-pair allocation: sorted label and degree multisets, and the
-    postorder label arrays of the tree and of its mirror image with the
-    mirror's leftmost-leaf array — about 5 words per node.  Compiled
-    from a TED preparation ({!of_prep}), the three postorder arrays are
-    the preparation's own, so the form adds about 2 words per node. *)
+    insert for a served tree) so that the cascade's bounds run with zero
+    per-pair allocation: the sorted label multiset, and the postorder
+    label arrays of the tree and of its mirror image with the mirror's
+    leftmost-leaf array — about 4 words per node.  Compiled from a TED
+    preparation ({!of_prep}), the three postorder arrays are the
+    preparation's own, so the form adds about 1 word per node. *)
 module Compiled : sig
   type t
 
@@ -48,6 +55,8 @@ module Compiled : sig
   val label_bound : t -> t -> int
 
   val degree_bound : t -> t -> int
+  (** Counts both degree bags (they are not stored): for {!best}, off
+      the verification hot path. *)
 
   val traversal_bound : t -> t -> int
   (** [max preorder_sed postorder_sed] — the STR filter (unbanded). *)
@@ -67,7 +76,7 @@ module Compiled : sig
       [TED <= constrained distance <= upper]. *)
 
   (** Cascade stage that rejected a pair (for the per-stage counters). *)
-  type stage = Size | Labels | Degrees | Sed
+  type stage = Size | Labels | Sed
 
   type outcome =
     | Pruned of stage  (** some lower bound exceeds τ: not a result *)
@@ -82,37 +91,9 @@ module Compiled : sig
 
   val cascade : tau:int -> t -> t -> outcome
   (** The staged verifier, cheapest first with short-circuit:
-      size → label histogram → degree histogram → banded traversal SED →
-      greedy upper bound.  Lossless for the TED verifier and for any
-      metric wedged between TED and the greedy script cost (e.g. the
-      constrained edit distance).
+      size → label histogram → banded traversal SED (preorder, then
+      postorder) → greedy upper bound.  Lossless for the TED verifier
+      and for any metric wedged between TED and the greedy script cost
+      (e.g. the constrained edit distance).
       @raise Invalid_argument if [tau < 0]. *)
 end
-
-(** {2 Per-pair convenience entry points}
-
-    Each compiles both trees on every call.
-    @deprecated for join inner loops — compile once with
-    {!Compiled.of_tree} and use the pairwise functions of {!Compiled}. *)
-
-val size : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val label_histogram : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val degree_histogram : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val preorder_string : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val postorder_string : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val traversal : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-(** [max preorder_string postorder_string] — the STR filter. *)
-
-val euler_string : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val best : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-(** Maximum of all the lower bounds above (compiles each tree once and
-    shares the compiled forms across the bounds). *)
-
-val upper : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-(** Per-pair form of {!Compiled.upper}. *)

@@ -13,19 +13,106 @@ module Nested_loop = Tsj_join.Nested_loop
 module Types = Tsj_join.Types
 module Prng = Tsj_util.Prng
 
-(* --- compiled forms agree with the per-pair entry points --- *)
+(* --- the compiled forms against references over Tree.t --- *)
+
+(* Written over the tree's own child lists and traversals, independently
+   of the compiled arrays: every lower bound of {!Bounds.Compiled}, and
+   the greedy script's cost. *)
+let rec nodes (t : Tree.t) = t :: List.concat_map nodes t.children
+
+(* L1 distance between two bags of ints, given as lists. *)
+let bag_distance xs ys =
+  let rec go xs ys =
+    match (xs, ys) with
+    | [], rest | rest, [] -> List.length rest
+    | x :: xs', y :: ys' ->
+      if x = y then go xs' ys' else if x < y then 1 + go xs' ys else 1 + go xs ys'
+  in
+  go (List.sort compare xs) (List.sort compare ys)
+
+let ref_size_bound a b = abs (Tree.size a - Tree.size b)
+
+let ref_label_bound a b =
+  let labels t = List.map (fun (n : Tree.t) -> n.label) (nodes t) in
+  (bag_distance (labels a) (labels b) + 1) / 2
+
+let ref_degree_bound a b =
+  let degrees t = List.map (fun (n : Tree.t) -> List.length n.children) (nodes t) in
+  (bag_distance (degrees a) (degrees b) + 2) / 3
+
+let ref_preorder_bound a b =
+  Tsj_ted.String_edit.distance
+    (Tsj_tree.Traversal.preorder_labels a)
+    (Tsj_tree.Traversal.preorder_labels b)
+
+let ref_postorder_bound a b =
+  Tsj_ted.String_edit.distance
+    (Tsj_tree.Traversal.postorder_labels a)
+    (Tsj_tree.Traversal.postorder_labels b)
+
+let ref_traversal_bound a b = max (ref_preorder_bound a b) (ref_postorder_bound a b)
+
+let rec ref_upper (a : Tree.t) (b : Tree.t) =
+  (if a.label = b.label then 0 else 1) + ref_upper_children a.children b.children
+
+and ref_upper_children xs ys =
+  match (xs, ys) with
+  | x :: xs, y :: ys -> ref_upper x y + ref_upper_children xs ys
+  | rest, [] | [], rest -> List.fold_left (fun acc t -> acc + Tree.size t) 0 rest
+
+let rec ref_euler (t : Tree.t) =
+  (t.label :: List.concat_map ref_euler t.children) @ [ t.label ]
+
+let ref_euler_bound a b =
+  (Tsj_ted.String_edit.distance
+     (Array.of_list (ref_euler a))
+     (Array.of_list (ref_euler b))
+  + 1)
+  / 2
+
+let ref_best a b =
+  List.fold_left max 0
+    [
+      ref_size_bound a b;
+      ref_label_bound a b;
+      ref_degree_bound a b;
+      ref_traversal_bound a b;
+      ref_euler_bound a b;
+    ]
+
+(* Every reference lower bound, by name (the [ted] suite checks each
+   against TED). *)
+let ref_lower_bounds =
+  [
+    ("size", ref_size_bound);
+    ("label_histogram", ref_label_bound);
+    ("degree_histogram", ref_degree_bound);
+    ("preorder_string", ref_preorder_bound);
+    ("postorder_string", ref_postorder_bound);
+    ("traversal", ref_traversal_bound);
+    ("euler_string", ref_euler_bound);
+    ("best", ref_best);
+  ]
 
 let prop_compiled_matches_per_pair =
   Gen.qtest ~count:150 "compiled bounds = per-pair bounds"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
       let ca = Bounds.Compiled.of_tree a and cb = Bounds.Compiled.of_tree b in
-      Bounds.Compiled.size_bound ca cb = Bounds.size a b
-      && Bounds.Compiled.label_bound ca cb = Bounds.label_histogram a b
-      && Bounds.Compiled.degree_bound ca cb = Bounds.degree_histogram a b
-      && Bounds.Compiled.traversal_bound ca cb = Bounds.traversal a b
-      && Bounds.Compiled.euler_bound ca cb = Bounds.euler_string a b
-      && Bounds.Compiled.best ca cb = Bounds.best a b
-      && Bounds.Compiled.upper ca cb = Bounds.upper a b)
+      List.for_all
+        (fun (name, v, r) ->
+          if v <> r then
+            QCheck.Test.fail_reportf "compiled %s = %d, reference %d on %s / %s" name v r
+              (Gen.pp_tree a) (Gen.pp_tree b)
+          else true)
+        [
+          ("size", Bounds.Compiled.size_bound ca cb, ref_size_bound a b);
+          ("labels", Bounds.Compiled.label_bound ca cb, ref_label_bound a b);
+          ("degrees", Bounds.Compiled.degree_bound ca cb, ref_degree_bound a b);
+          ("traversal", Bounds.Compiled.traversal_bound ca cb, ref_traversal_bound a b);
+          ("euler", Bounds.Compiled.euler_bound ca cb, ref_euler_bound a b);
+          ("best", Bounds.Compiled.best ca cb, ref_best a b);
+          ("upper", Bounds.Compiled.upper ca cb, ref_upper a b);
+        ])
 
 let prop_compiled_lower_bounds =
   Gen.qtest ~count:150 "every compiled lower bound <= TED"
@@ -46,29 +133,6 @@ let prop_compiled_lower_bounds =
           ("euler", Bounds.Compiled.euler_bound ca cb);
           ("best", Bounds.Compiled.best ca cb);
         ])
-
-(* --- the compact compiled form against a reference over Tree.t --- *)
-
-(* Written over the tree's own child lists, independently of the
-   compiled arrays: the greedy script's cost, and the Euler-string
-   bound. *)
-let rec ref_upper (a : Tree.t) (b : Tree.t) =
-  (if a.label = b.label then 0 else 1) + ref_upper_children a.children b.children
-
-and ref_upper_children xs ys =
-  match (xs, ys) with
-  | x :: xs, y :: ys -> ref_upper x y + ref_upper_children xs ys
-  | rest, [] | [], rest -> List.fold_left (fun acc t -> acc + Tree.size t) 0 rest
-
-let rec ref_euler (t : Tree.t) =
-  (t.label :: List.concat_map ref_euler t.children) @ [ t.label ]
-
-let ref_euler_bound a b =
-  (Tsj_ted.String_edit.distance
-     (Array.of_list (ref_euler a))
-     (Array.of_list (ref_euler b))
-  + 1)
-  / 2
 
 let prop_compiled_matches_reference =
   Gen.qtest ~count:200 "compact compiled upper/euler = Tree.t reference"
@@ -92,7 +156,7 @@ let prop_compiled_matches_reference =
           else true)
         (forms a) (forms b))
 
-(* The compact form keeps five int arrays of [size] entries: at most 5
+(* The compact form keeps four int arrays of [size] entries: at most 4
    words per node plus headers. *)
 let test_compiled_words_per_node () =
   let trees =
@@ -102,8 +166,8 @@ let test_compiled_words_per_node () =
     (fun t ->
       let n = Tree.size t in
       let words = Obj.reachable_words (Obj.repr (Bounds.Compiled.of_tree t)) in
-      if words > (5 * n) + 16 then
-        Alcotest.failf "compiled form of a %d-node tree takes %d words (> 5n + 16)" n
+      if words > (4 * n) + 16 then
+        Alcotest.failf "compiled form of a %d-node tree takes %d words (> 4n + 16)" n
           words)
     trees
 
@@ -112,7 +176,7 @@ let test_compiled_words_per_node () =
 let prop_upper_bounds_ted =
   Gen.qtest ~count:200 "TED <= constrained <= greedy upper"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
-      let ub = Bounds.upper a b in
+      let ub = Bounds.Compiled.(upper (of_tree a) (of_tree b)) in
       let ted = Zhang_shasha.distance a b in
       let ced = Constrained.distance a b in
       if not (ted <= ced && ced <= ub) then
@@ -122,7 +186,7 @@ let prop_upper_bounds_ted =
 
 let test_upper_zero_on_equal () =
   let t = Tsj_tree.Bracket.of_string_exn "{a{b{c}}{d}{e{f}}}" in
-  Alcotest.(check int) "upper t t = 0" 0 (Bounds.upper t t);
+  Alcotest.(check int) "upper t t = 0" 0 Bounds.Compiled.(upper (of_tree t) (of_tree t));
   let c = Bounds.Compiled.of_tree t in
   Alcotest.(check int) "compiled upper t t = 0" 0 (Bounds.Compiled.upper c c)
 
@@ -265,7 +329,7 @@ let suite =
     prop_compiled_matches_per_pair;
     prop_compiled_lower_bounds;
     prop_compiled_matches_reference;
-    Alcotest.test_case "compiled form: at most 5 words per node" `Quick
+    Alcotest.test_case "compiled form: at most 4 words per node" `Quick
       test_compiled_words_per_node;
     prop_upper_bounds_ted;
     Alcotest.test_case "upper zero on equal" `Quick test_upper_zero_on_equal;

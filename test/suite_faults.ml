@@ -357,6 +357,24 @@ let test_fingerprint_mismatch_refused () =
     Alcotest.(check bool) "error names the mismatch" true (contains msg "different"));
   Sys.remove path
 
+(* A journal whose stage counters have another layout than
+   [Verifier.Tally] (one more slot, as a journal written before the
+   degree-histogram stage was dropped) is refused, not misread. *)
+let test_incompatible_format_refused () =
+  let trees = clustered 29 10 in
+  let path = Faults.fresh_journal () in
+  ignore (Partsj.join ~checkpoint:(Checkpoint.config path) ~trees ~tau:2 ());
+  (match Checkpoint.load path with
+  | Ok (Some st) ->
+    Checkpoint.save ~path
+      { st with Checkpoint.stage_counts = Array.append st.Checkpoint.stage_counts [| 0 |] }
+  | Ok None | Error _ -> Alcotest.fail "checkpoint not written");
+  (match Partsj.join ~checkpoint:(Checkpoint.config ~resume:true path) ~trees ~tau:2 () with
+  | _ -> Alcotest.fail "resume from an incompatible journal succeeded"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "error names the format" true (contains msg "incompatible format"));
+  Sys.remove path
+
 let test_checkpoint_state_roundtrip () =
   let st =
     {
@@ -451,6 +469,8 @@ let suite =
     Alcotest.test_case "truncated journal refused" `Quick test_truncated_journal_refused;
     Alcotest.test_case "fingerprint mismatch refused" `Quick
       test_fingerprint_mismatch_refused;
+    Alcotest.test_case "incompatible checkpoint format refused" `Quick
+      test_incompatible_format_refused;
     Alcotest.test_case "checkpoint state roundtrip" `Quick test_checkpoint_state_roundtrip;
     Alcotest.test_case "bracket errors carry line/column" `Quick test_bracket_line_col;
     Alcotest.test_case "bracket lenient loading" `Quick test_bracket_lenient;

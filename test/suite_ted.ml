@@ -166,17 +166,9 @@ let prop_ted_upper_bound =
 
 (* --- bounds --- *)
 
-let all_bounds =
-  [
-    ("size", Bounds.size);
-    ("label_histogram", Bounds.label_histogram);
-    ("degree_histogram", Bounds.degree_histogram);
-    ("preorder_string", Bounds.preorder_string);
-    ("postorder_string", Bounds.postorder_string);
-    ("traversal", Bounds.traversal);
-    ("euler_string", Bounds.euler_string);
-    ("best", Bounds.best);
-  ]
+(* The textbook lower bounds, written over [Tree.t]; the [cascade] suite
+   checks that {!Bounds.Compiled} computes each of them. *)
+let all_bounds = Suite_cascade.ref_lower_bounds
 
 let prop_bounds_are_lower_bounds =
   Gen.qtest ~count:150 "every bound <= TED" (Gen.arb_tree_pair ~max_size:12 ())
